@@ -23,7 +23,7 @@ namespace {
 
 struct Scenario {
   std::string label;
-  std::optional<gpusim::FaultPlan> plan;
+  std::optional<resilience::FaultScenario> faults;
 };
 
 value_t at(const std::vector<value_t>& h, index_t i) {
@@ -53,19 +53,13 @@ int main(int argc, char** argv) {
     std::vector<Scenario> scenarios;
     scenarios.push_back({"no failure", std::nullopt});
     for (index_t tr : {10, 20, 30}) {
-      gpusim::FaultPlan plan;
-      plan.fail_at = fail_at;
-      plan.fraction = fraction;
-      plan.recover_after = tr;
-      scenarios.push_back({"recovery-(" + std::to_string(tr) + ")", plan});
+      scenarios.push_back(
+          {"recovery-(" + std::to_string(tr) + ")",
+           resilience::FaultScenario{}.fail_components(fail_at, fraction, tr)});
     }
-    {
-      gpusim::FaultPlan plan;
-      plan.fail_at = fail_at;
-      plan.fraction = fraction;
-      plan.recover_after = std::nullopt;
-      scenarios.push_back({"no recovery", plan});
-    }
+    scenarios.push_back({"no recovery",
+                         resilience::FaultScenario{}.fail_components(
+                             fail_at, fraction, std::nullopt)});
 
     std::vector<std::vector<value_t>> histories;
     std::vector<index_t> conv_iters;
@@ -74,7 +68,7 @@ int main(int argc, char** argv) {
       o.block_size = 448;
       o.local_iters = 5;
       o.matrix_name = p.name;
-      o.fault = s.plan;
+      o.scenario = s.faults;
       o.seed = 31;
       o.solve.max_iters = 4 * max_iters;
       o.solve.tol = 1e-14;

@@ -1,8 +1,8 @@
 /// Wall-clock performance regression harness. Unlike the fig*/table*
 /// harnesses (which report *virtual* seconds from the calibrated cost
 /// model), this one measures real host time of the hot paths — the
-/// async-(k) event loop, the parallel commit path, the incremental
-/// residual, and the host-thread chaotic solver — and emits a
+/// async-(k) event loop, the parallel commit path, and the host-thread
+/// chaotic solver — and emits a
 /// machine-readable BENCH_perf.json for CI trend tracking.
 ///
 /// Flags: --out=<path>      JSON output (default BENCH_perf.json)
@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   const auto run_async = [&](const TestProblem& p, index_t k,
-                             bool incremental, index_t nworkers,
                              const std::string& label) {
     BlockAsyncOptions o;
     o.solve.max_iters = iters;
@@ -126,8 +125,6 @@ int main(int argc, char** argv) {
     o.local_iters = k;
     o.policy = gpusim::SchedulePolicy::kRoundRobin;
     o.concurrent_slots = 64;
-    o.incremental_residual = incremental;
-    o.num_workers = nworkers;
     o.matrix_name = p.name;
     o.solve.telemetry.observer = telemetry_sink.get();
     const Vector b = bench::unit_rhs(p.matrix.rows());
@@ -141,9 +138,8 @@ int main(int argc, char** argv) {
 
   for (const PaperMatrix which : suite) {
     const TestProblem p = make_paper_problem(which);
-    run_async(p, 1, false, 0, "async-(1)");
-    run_async(p, 5, false, 0, "async-(5)");
-    run_async(p, 1, true, 0, "async-(1)+incremental-residual");
+    run_async(p, 1, "async-(1)");
+    run_async(p, 5, "async-(5)");
 
     ThreadAsyncOptions to;
     to.solve.max_iters = iters;

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "core/block_jacobi_kernel.hpp"
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/thread_async.hpp"
 #include "gpusim/async_executor.hpp"
 #include "gpusim/worker_pool.hpp"

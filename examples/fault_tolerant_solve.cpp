@@ -42,15 +42,12 @@ int main() {
     return o;
   };
 
-  // 1. Passive fault tolerance (legacy single-event FaultPlan).
+  // 1. Passive fault tolerance (the paper's single failure event).
   const auto clean = run("no failure           ", base());
 
-  gpusim::FaultPlan recover;
-  recover.fail_at = 10;
-  recover.fraction = 0.25;
-  recover.recover_after = 20;
   BlockAsyncOptions rec_opts = base();
-  rec_opts.fault = recover;
+  rec_opts.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/10, /*fraction=*/0.25, /*recover_after=*/20);
   const auto rec = run("25% fail, recover(20)", rec_opts);
 
   if (clean.solve.ok() && rec.solve.ok()) {

@@ -126,8 +126,6 @@ int main(int argc, char** argv) {
   t.add_row({"iterations", count("solve_iterations")});
   t.add_row({"block_commits", count("block_commits")});
   t.add_row({"recovery_events", count("recovery_events")});
-  t.add_row({"incremental_residual_reanchors",
-             count("incremental_residual_reanchors")});
   t.add_row({"mean_commit_staleness",
              staleness.total() > 0
                  ? report::fmt_fixed(staleness.sum() /

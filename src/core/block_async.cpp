@@ -2,11 +2,9 @@
 
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "backend/registry.hpp"
-#include "gpusim/incremental_residual.hpp"
 #include "sparse/vector_ops.hpp"
 #include "telemetry/probe.hpp"
 
@@ -41,6 +39,26 @@ std::vector<index_t> adaptive_local_iter_counts(const Csr& a,
   return counts;
 }
 
+namespace {
+
+/// Partitions `a` and builds the block-sweep kernel `opts` describes,
+/// with the adaptive per-block sweep counts when requested.
+std::unique_ptr<backend::BlockSweepKernel> build_block_kernel(
+    const Csr& a, const Vector& b, const BlockAsyncOptions& opts) {
+  const RowPartition part = RowPartition::uniform(a.rows(), opts.block_size);
+  std::unique_ptr<backend::BlockSweepKernel> kernel = backend::build_kernel(
+      opts.backend, a, b, part,
+      {opts.local_iters, opts.local_sweep, opts.local_omega, opts.overlap},
+      opts.solve.telemetry.metrics);
+  if (opts.adaptive_local_iters) {
+    kernel->set_per_block_iters(
+        adaptive_local_iter_counts(a, part, opts.local_iters));
+  }
+  return kernel;
+}
+
+}  // namespace
+
 BlockAsyncResult block_async_solve(const Csr& a, const Vector& b,
                                    const BlockAsyncOptions& opts,
                                    const Vector* x0) {
@@ -52,17 +70,8 @@ BlockAsyncResult block_async_solve(const Csr& a, const Vector& b,
     throw std::invalid_argument("block_async_solve: block_size must be > 0");
   }
 
-  const RowPartition part = RowPartition::uniform(a.rows(), opts.block_size);
   const std::unique_ptr<backend::BlockSweepKernel> kernel =
-      backend::build_kernel(
-          opts.backend, a, b, part,
-          {opts.local_iters, opts.local_sweep, opts.local_omega,
-           opts.overlap},
-          opts.solve.telemetry.metrics);
-  if (opts.adaptive_local_iters) {
-    kernel->set_per_block_iters(
-        adaptive_local_iter_counts(a, part, opts.local_iters));
-  }
+      build_block_kernel(a, b, opts);
   return block_async_solve_with_kernel(a, b, *kernel, opts, x0);
 }
 
@@ -103,16 +112,9 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
   exec.seed = opts.seed;
   exec.pattern_seed = opts.pattern_seed;
   exec.run_noise = opts.run_noise;
-  exec.fault = opts.fault;
   exec.scenario = opts.scenario;
   exec.resilience = opts.resilience;
   exec.num_workers = opts.num_workers;
-  exec.residual_refresh_every = opts.residual_refresh_every;
-  std::optional<gpusim::IncrementalResidual> tracker;
-  if (opts.incremental_residual && !opts.resilience) {
-    tracker.emplace(a, b, part);
-    exec.residual_tracker = &*tracker;
-  }
 
   BlockAsyncResult out;
   out.solve.x = x0 ? *x0 : Vector(b.size(), 0.0);
@@ -165,17 +167,8 @@ std::vector<BlockAsyncResult> block_async_solve_multi(
   // The expensive part — partition + per-block analysis — happens once;
   // each RHS then replays the same (value-independent, seeded) executor
   // schedule, so every result is bit-identical to its standalone solve.
-  const RowPartition part = RowPartition::uniform(a.rows(), opts.block_size);
   const std::unique_ptr<backend::BlockSweepKernel> kernel =
-      backend::build_kernel(
-          opts.backend, a, bs.front(), part,
-          {opts.local_iters, opts.local_sweep, opts.local_omega,
-           opts.overlap},
-          opts.solve.telemetry.metrics);
-  if (opts.adaptive_local_iters) {
-    kernel->set_per_block_iters(
-        adaptive_local_iter_counts(a, part, opts.local_iters));
-  }
+      build_block_kernel(a, bs.front(), opts);
 
   std::vector<BlockAsyncResult> out;
   out.reserve(bs.size());

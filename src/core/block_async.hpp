@@ -8,7 +8,6 @@
 #include "core/solver_types.hpp"
 #include "gpusim/async_executor.hpp"
 #include "gpusim/cost_model.hpp"
-#include "gpusim/fault.hpp"
 
 /// \file block_async.hpp
 /// The paper's primary contribution: async-(local_iters) — the
@@ -56,10 +55,9 @@ struct BlockAsyncOptions {
   std::optional<std::uint64_t> pattern_seed{};
   value_t run_noise = 2.0e-3;
 
-  /// Legacy single-event failure; ignored when `scenario` is set.
-  std::optional<gpusim::FaultPlan> fault{};
-  /// Composable fault timeline (resilience subsystem): multiple
-  /// failure waves, transient halo corruption, ...
+  /// Fault timeline (resilience subsystem): the paper's Section 4.5
+  /// failure (FaultScenario::fail_components), multiple failure waves,
+  /// transient halo corruption, ...
   std::optional<resilience::FaultScenario> scenario{};
   /// Active recovery: checkpoint/rollback, online SDC detection,
   /// watchdog supervision (see docs/RESILIENCE.md).
@@ -69,12 +67,6 @@ struct BlockAsyncOptions {
   /// pool (bit-identical results; see gpusim::ExecutorOptions). 0 or 1
   /// keeps the serial event loop.
   index_t num_workers = 0;
-  /// Maintain the residual incrementally per block commit instead of a
-  /// full SpMV each global iteration (see incremental_residual.hpp).
-  /// Automatically disabled when a resilience policy is active.
-  bool incremental_residual = false;
-  /// Exact O(nnz) re-anchor cadence for the incremental residual.
-  index_t residual_refresh_every = 25;
 
   /// Matrix name for the cost model's calibration lookup; empty uses
   /// the generic formula.

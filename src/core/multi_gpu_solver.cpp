@@ -46,7 +46,6 @@ MultiGpuResult multi_gpu_block_async_solve(const Csr& a, const Vector& b,
   exec.straggler_prob = opts.straggler_prob;
   exec.straggler_factor = opts.straggler_factor;
   exec.seed = opts.seed;
-  exec.fault = opts.fault;
   exec.scenario = opts.scenario;
   exec.resilience = opts.resilience;
 

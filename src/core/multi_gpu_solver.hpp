@@ -34,9 +34,7 @@ struct MultiGpuOptions {
   value_t straggler_prob = 0.05;
   value_t straggler_factor = 2.0;
   std::uint64_t seed = 99;
-  /// Legacy single-event failure; ignored when `scenario` is set.
-  std::optional<gpusim::FaultPlan> fault{};
-  /// Composable fault timeline incl. device dropout and link failures.
+  /// Fault timeline incl. device dropout and link failures.
   std::optional<resilience::FaultScenario> scenario{};
   /// Active recovery layer (see docs/RESILIENCE.md).
   std::optional<resilience::Policy> resilience{};

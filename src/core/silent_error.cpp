@@ -133,7 +133,6 @@ SdcRunResult block_async_solve_with_sdc(
       kModel.gpu_block_async_iteration(shape, opts.local_iters);
   exec.jitter = opts.jitter;
   exec.seed = opts.seed;
-  exec.fault = opts.fault;
   exec.scenario = opts.scenario;
   exec.resilience = opts.resilience;
 

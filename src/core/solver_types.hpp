@@ -55,18 +55,6 @@ struct SolveResult {
   /// The solve ended at or below tol (kConverged or
   /// kRecoveredConverged).
   [[nodiscard]] bool ok() const noexcept { return succeeded(status); }
-
-  /// Legacy accessors for the retired converged/diverged bool pair.
-  /// They are functions (not data members) so stale writes fail to
-  /// compile instead of silently diverging from `status`.
-  [[deprecated("read status (or ok()) instead")]] [[nodiscard]] bool
-  converged() const noexcept {
-    return succeeded(status);
-  }
-  [[deprecated("read status instead")]] [[nodiscard]] bool diverged()
-      const noexcept {
-    return status == SolverStatus::kDiverged;
-  }
 };
 
 /// Relative l2 residual ||b - A x|| / ||b|| (absolute when ||b|| == 0).

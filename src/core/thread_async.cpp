@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -105,6 +104,16 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
   std::vector<std::atomic<index_t>> pass_counts(
       static_cast<std::size_t>(threads));
   for (auto& c : pass_counts) c.store(0, std::memory_order_relaxed);
+  // Global iterations the monitor has sampled. A worker starts a new
+  // pass only while it is at most one pass ahead of the last sample, so
+  // sample k sees every block executed k or k + 1 times. Without this
+  // bound the workers outran the monitor by a scheduler-dependent number
+  // of passes (thousands, when the monitor thread was descheduled), and
+  // `iterations` counted monitor wake-ups rather than global iterations.
+  std::atomic<index_t> sampled{0};
+  // Passes completed by all workers together; the monitor waits on it
+  // for the next global iteration to complete.
+  std::atomic<index_t> passes_done{0};
 
   const auto worker = [&](index_t tid) {
     Vector halo_vals;
@@ -132,11 +141,23 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
         executions.fetch_add(1, std::memory_order_relaxed);
         if (stop.load(std::memory_order_relaxed)) return;
       }
-      pass_counts[tid].fetch_add(1, std::memory_order_relaxed);
+      const index_t done =
+          pass_counts[tid].fetch_add(1, std::memory_order_relaxed) + 1;
+      passes_done.fetch_add(1, std::memory_order_release);
+      passes_done.notify_one();
       // Give other workers a chance on oversubscribed machines so that
       // no block starves (Chazan-Miranker condition 1).
       BARS_VERIFY_YIELD("thread_async.pass");
       std::this_thread::yield();
+      for (index_t seen = sampled.load(std::memory_order_acquire);
+           done > seen + 1 && !stop.load(std::memory_order_relaxed);
+           seen = sampled.load(std::memory_order_acquire)) {
+        if (common::verify::controlled()) {
+          BARS_VERIFY_YIELD("thread_async.lead");
+        } else {
+          sampled.wait(seen, std::memory_order_acquire);
+        }
+      }
     }
   };
 
@@ -151,8 +172,8 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
 
   const value_t nb = norm2(b);
   const value_t den = nb > 0.0 ? nb : 1.0;
-  // Monitor scratch, allocated once: the poll loop below must not heap-
-  // allocate per check (it runs every ~50us while workers iterate).
+  // Monitor scratch, allocated once: the loop below must not heap-
+  // allocate per check (it runs once per global iteration).
   Vector snap(b.size());
   Vector rbuf(b.size());
   const auto residual_of = [&](const Vector& xv) {
@@ -182,18 +203,21 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
   };
   bool verdict_on_snap = false;
   while (true) {
+    const index_t seen = passes_done.load(std::memory_order_acquire);
     if (min_generation() <= sr.iterations) {
       if (common::verify::controlled()) {
-        // Under the schedule controller a real sleep would keep the
+        // Under the schedule controller a blocking wait would keep the
         // serial token and livelock the workers; hand it over instead.
         BARS_VERIFY_YIELD("thread_async.monitor");
       } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        passes_done.wait(seen, std::memory_order_acquire);
       }
       continue;
     }
     ++sr.iterations;
     x.snapshot_into(snap);
+    sampled.store(sr.iterations, std::memory_order_release);
+    sampled.notify_all();
     const value_t rel = residual_of(snap);
     if (opts.solve.record_history) sr.residual_history.push_back(rel);
     sr.final_residual = rel;
@@ -218,6 +242,10 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
     if (sr.iterations >= opts.solve.max_iters) break;
   }
   stop.store(true, std::memory_order_relaxed);
+  // Move `sampled` past any value a waiting worker holds, so its wait
+  // returns and it sees `stop`.
+  sampled.fetch_add(1, std::memory_order_release);
+  sampled.notify_all();
   for (auto& t : pool) t.join();
   if (metrics != nullptr) {
     metrics->gauge("thread_async_solve_seconds").set(probe.elapsed_seconds());

@@ -37,8 +37,10 @@ struct ThreadAsyncResult {
 
 /// Solve A x = b by chaotic relaxation on host threads. Residual
 /// history is sampled once per completed global iteration (q block
-/// executions). Non-deterministic by nature; convergence is guaranteed
-/// for rho(|B|) < 1 (Strikwerda).
+/// executions); a worker runs at most one pass ahead of the last
+/// sample, so sample k sees every block executed k or k + 1 times.
+/// Non-deterministic by nature; convergence is guaranteed for
+/// rho(|B|) < 1 (Strikwerda).
 [[nodiscard]] ThreadAsyncResult thread_async_solve(
     const Csr& a, const Vector& b, const ThreadAsyncOptions& opts = {},
     const Vector* x0 = nullptr);

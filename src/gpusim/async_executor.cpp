@@ -1,7 +1,6 @@
 #include "gpusim/async_executor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <queue>
@@ -9,11 +8,9 @@
 
 #include "common/check.hpp"
 #include "common/verify_hooks.hpp"
-#include "gpusim/incremental_residual.hpp"
 #include "gpusim/stopping.hpp"
 #include "gpusim/worker_pool.hpp"
 #include "stats/rng.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace bars::gpusim {
 
@@ -104,56 +101,17 @@ ExecutorResult AsyncExecutor::run(
                                 static_cast<value_t>(slots) /
                                 static_cast<value_t>(q);
 
-  // Fault timeline (Section 4.5 scenarios, composable form). The legacy
-  // single-event FaultPlan rides through the same engine.
+  // Fault timeline (Section 4.5 scenarios, composable form).
   std::optional<resilience::ScenarioTimeline> timeline;
   if (opts_.scenario && !opts_.scenario->empty()) {
     timeline.emplace(*opts_.scenario, n);
-  } else if (opts_.fault) {
-    timeline.emplace(to_scenario(*opts_.fault), n);
   }
-
-  // Incremental residual path: active only when nothing rewrites the
-  // iterate behind the tracker's back (resilience rollbacks do).
-  IncrementalResidual* tracker =
-      (opts_.residual_tracker && !opts_.resilience) ? opts_.residual_tracker
-                                                    : nullptr;
-  const index_t refresh_every =
-      std::max<index_t>(opts_.residual_refresh_every, 1);
-  index_t checks_since_exact = 0;
-  index_t total_checks = 0;
-  // Observability: re-anchor count goes to the metrics registry (it is
-  // a solver-internal rate, not an event); commit events go to the
-  // observer, gated so iteration-level consumers skip the volume.
-  telemetry::Counter* reanchors =
-      opts_.telemetry.metrics
-          ? &opts_.telemetry.metrics->counter("incremental_residual_reanchors")
-          : nullptr;
-  const auto monitor_fn = [&](const Vector& xv) -> value_t {
-    if (!tracker) return residual_fn(xv);
-    ++checks_since_exact;
-    ++total_checks;
-    if (checks_since_exact < refresh_every &&
-        total_checks < opts_.stopping.max_global_iters) {
-      const value_t est = tracker->relative();
-      // Only a certified-exact value may drive a stopping verdict.
-      if (std::isfinite(est) && est > opts_.stopping.tol &&
-          est <= opts_.stopping.divergence_limit) {
-        return est;
-      }
-    }
-    tracker->reset(xv);
-    checks_since_exact = 0;
-    if (reanchors) reanchors->inc();
-    return tracker->relative();  // bit-identical to residual_fn here
-  };
 
   IterationMonitor monitor(opts_.stopping,
                            opts_.resilience ? &*opts_.resilience : nullptr,
                            timeline ? &*timeline : nullptr, q,
                            opts_.telemetry.observer);
   monitor.record_initial(residual_fn(x));
-  if (tracker) tracker->reset(x);
 
   // Per-block halo snapshot captured at READ, consumed at WRITE.
   std::vector<Vector> halo_snapshot(static_cast<std::size_t>(q));
@@ -274,10 +232,10 @@ ExecutorResult AsyncExecutor::run(
     pool_ = std::make_unique<WorkerPool>(opts_.num_workers);
   }
   // Pre-/post-commit values of each block's owned rows, reused across
-  // visits: saved_rows is the "old" side of the incremental residual
-  // delta; new_rows stages parallel results so batched commits land in
-  // x one member at a time, in event order.
-  std::vector<Vector> saved_rows(static_cast<std::size_t>(q));
+  // batches: a parallel task saves the pre-batch rows, stages its result
+  // in new_rows and restores x, so batched commits land in x one member
+  // at a time, in event order.
+  std::vector<Vector> saved_rows(can_batch ? static_cast<std::size_t>(q) : 0);
   std::vector<Vector> new_rows(can_batch ? static_cast<std::size_t>(q) : 0);
   const auto save_rows = [&](index_t b) -> Vector& {
     const auto [lo, hi] = kernel_.rows(b);
@@ -312,17 +270,10 @@ ExecutorResult AsyncExecutor::run(
         << " with no busy slot";
     --busy_slots;
     requeue(b);
-    if (tracker) {
-      const auto [lo, hi] = kernel_.rows(b);
-      tracker->block_committed(
-          b, saved_rows[static_cast<std::size_t>(b)],
-          std::span<const value_t>(x).subspan(
-              static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo)));
-    }
     if (total_writes % q == 0) {
       ++global_iter;
       const StopVerdict verdict = monitor.on_global_iteration(
-          global_iter, now, x, monitor_fn, res.block_executions);
+          global_iter, now, x, residual_fn, res.block_executions);
       if (verdict != StopVerdict::kContinue) {
         res.status = monitor.status_for(verdict);
         stopped = true;
@@ -426,7 +377,6 @@ ExecutorResult AsyncExecutor::run(
       // Fall through: a batch of one is just the serial case.
     }
 
-    if (tracker) save_rows(b);
     ExecContext ctx;
     ctx.virtual_time = now;
     ctx.block_generation = res.block_executions[b];

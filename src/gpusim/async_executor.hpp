@@ -6,7 +6,6 @@
 
 #include "common/solver_status.hpp"
 #include "gpusim/block_kernel.hpp"
-#include "gpusim/fault.hpp"
 #include "gpusim/stopping.hpp"
 #include "gpusim/trace.hpp"
 #include "resilience/recovery.hpp"
@@ -30,7 +29,6 @@
 
 namespace bars::gpusim {
 
-class IncrementalResidual;
 class WorkerPool;
 
 /// How the device orders ready blocks.
@@ -91,11 +89,9 @@ struct ExecutorOptions {
   value_t run_noise = 2.0e-3;
   /// Record one TraceEvent per block execution (memory ~ O(executions)).
   bool record_trace = false;
-  /// Legacy single-event failure (Section 4.5); adapted onto `scenario`
-  /// internally. Ignored when `scenario` is set.
-  std::optional<FaultPlan> fault;
-  /// Composable fault timeline (component failures, halo corruption;
-  /// device/link events are multi-GPU-only and ignored here).
+  /// Fault timeline (component failures, halo corruption; device/link
+  /// events are multi-GPU-only and ignored here). The paper's Section
+  /// 4.5 failure is FaultScenario{}.fail_components(...).
   std::optional<resilience::FaultScenario> scenario;
   /// Active recovery: checkpoint/rollback, online SDC detection,
   /// watchdog supervision. Unset = plain run (legacy behavior).
@@ -110,18 +106,6 @@ struct ExecutorOptions {
   /// policies automatically fall back to serial commits because their
   /// iteration boundaries may mutate state mid-batch. 0 or 1 = serial.
   index_t num_workers = 0;
-
-  /// Non-owning incremental residual tracker (see
-  /// incremental_residual.hpp). When set — and no resilience policy is
-  /// active, since rollbacks rewrite the iterate behind the tracker's
-  /// back — the iteration monitor consumes the incrementally
-  /// maintained relative residual instead of recomputing a full SpMV
-  /// each global iteration. An exact recompute re-anchors the tracker
-  /// every `residual_refresh_every` iterations, at the iteration
-  /// limit, and before any convergence/divergence verdict, bounding
-  /// the floating-point drift of recorded history entries.
-  IncrementalResidual* residual_tracker = nullptr;
-  index_t residual_refresh_every = 25;
 };
 
 struct ExecutorResult {
@@ -157,9 +141,8 @@ class AsyncExecutor {
   AsyncExecutor(const BlockKernel& kernel, ExecutorOptions opts);
   ~AsyncExecutor();
 
-  /// Iterate on x in place. residual_fn is called at most once per
-  /// global iteration with the current iterate (with an incremental
-  /// residual tracker configured, only at exact-recompute boundaries).
+  /// Iterate on x in place. residual_fn is called once initially and
+  /// then at most once per global iteration with the current iterate.
   ExecutorResult run(Vector& x,
                      const std::function<value_t(const Vector&)>& residual_fn);
 

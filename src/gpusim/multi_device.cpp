@@ -145,13 +145,10 @@ MultiDeviceResult MultiDeviceExecutor::run(
 
   // Fault timeline (Section 4.5 scenarios, multi-GPU variant): the
   // composable script covers component failures, halo corruption,
-  // device dropout/rejoin, and transfer-link failures; a legacy
-  // FaultPlan is adapted onto the same engine.
+  // device dropout/rejoin, and transfer-link failures.
   std::optional<resilience::ScenarioTimeline> timeline;
   if (opts_.scenario && !opts_.scenario->empty()) {
     timeline.emplace(*opts_.scenario, n, nd);
-  } else if (opts_.fault) {
-    timeline.emplace(to_scenario(*opts_.fault), n, nd);
   }
 
   telemetry::SolveObserver* const obs = opts_.telemetry.observer;

@@ -6,7 +6,6 @@
 
 #include "common/solver_status.hpp"
 #include "gpusim/block_kernel.hpp"
-#include "gpusim/fault.hpp"
 #include "gpusim/stopping.hpp"
 #include "gpusim/topology.hpp"
 #include "resilience/recovery.hpp"
@@ -67,12 +66,10 @@ struct MultiDeviceOptions {
   /// Base delay of the exponential backoff applied when a sweep-end
   /// transfer hits a failed link (doubles per consecutive failure).
   value_t link_retry_backoff_s = 1.0e-3;
-  /// Hardware-failure scenario (Section 4.5) — also exercised on
-  /// multi-GPU runs as an exascale-resilience extension. Legacy
-  /// single-event form; ignored when `scenario` is set.
-  std::optional<FaultPlan> fault{};
-  /// Composable fault timeline: component failures, halo corruption,
-  /// device dropout/rejoin, transfer-link failures.
+  /// Fault timeline: component failures (the paper's Section 4.5
+  /// scenario, also exercised on multi-GPU runs as an exascale-
+  /// resilience extension), halo corruption, device dropout/rejoin,
+  /// transfer-link failures.
   std::optional<resilience::FaultScenario> scenario{};
   /// Active recovery: checkpoint/rollback, online SDC detection,
   /// watchdog supervision. Unset = plain run (legacy behavior).

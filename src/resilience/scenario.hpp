@@ -131,9 +131,9 @@ struct FaultScenario {
 /// Runtime engine for one solve. The owning executor calls
 /// `advance(k)` at every global-iteration boundary (including k = 0
 /// before the first sweep); all queries then reflect iteration k's
-/// fault state. Event semantics match the legacy FaultPlan exactly:
-/// an event is active for iterations `at <= k < at + duration`, so
-/// `duration == 0` is an immediate reassignment (never observed).
+/// fault state. An event is active for iterations
+/// `at <= k < at + duration`, so `duration == 0` is an immediate
+/// reassignment (never observed).
 class ScenarioTimeline {
  public:
   ScenarioTimeline(FaultScenario scenario, index_t num_rows,

@@ -298,6 +298,11 @@ void SolveService::worker_loop() {
         if (m_batches_ != nullptr) m_batches_->inc();
       }
     }
+    // Dispatch arms hedge and watchdog timers (deadlines were already
+    // armed while queued), and the supervisor may be in an untimed wait.
+    if (opts_.retry.hedging || opts_.supervision.max_requeues > 0) {
+      supervisor_cv_.notify_one();
+    }
     execute_batch(std::move(batch));
   }
 }
@@ -719,8 +724,11 @@ void SolveService::supervisor_loop() {
     if (supervising) {
       for (const auto& p : running_) {
         if (p->watchdogged || p->stuck_at > now) continue;
-        if (p->rs->ticket->done()) continue;
+        // One-shot even when a sibling already answered: an expired
+        // stuck_at left armed keeps `earliest` in the past, and this
+        // loop would spin holding mu_ so the worker could never finish.
         p->watchdogged = true;
+        if (p->rs->ticket->done()) continue;
         p->token.request_cancel(common::CancelReason::kWatchdog);
         if (p->rs->requeues < opts_.supervision.max_requeues) {
           ++p->rs->requeues;

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/block_async.hpp"
-#include "core/block_jacobi_kernel.hpp"
 #include "matrices/generators.hpp"
 #include "sparse/dense.hpp"
 

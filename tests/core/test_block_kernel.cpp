@@ -1,4 +1,4 @@
-#include "core/block_jacobi_kernel.hpp"
+#include "backend/block_jacobi_kernel.hpp"
 
 #include <gtest/gtest.h>
 

@@ -24,11 +24,8 @@ TEST(FaultTolerance, NoRecoveryStagnates) {
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.25;
-  plan.recover_after = std::nullopt;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/10, /*fraction=*/0.25, /*recover_after=*/std::nullopt);
   const auto r = block_async_solve(a, b, o);
   EXPECT_FALSE(r.solve.ok());
   EXPECT_GT(r.solve.final_residual, 1e-6);
@@ -38,11 +35,8 @@ TEST(FaultTolerance, RecoveryRetrievesConvergence) {
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.25;
-  plan.recover_after = 10;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/10, /*fraction=*/0.25, /*recover_after=*/10);
   const auto r = block_async_solve(a, b, o);
   EXPECT_TRUE(r.solve.ok());
 }
@@ -55,11 +49,8 @@ TEST(FaultTolerance, LongerRecoveryTimeDelaysConvergenceMore) {
   for (index_t tr : {0, 10, 20, 30}) {
     BlockAsyncOptions o = base_options();
     if (tr > 0) {
-      gpusim::FaultPlan plan;
-      plan.fail_at = 10;
-      plan.fraction = 0.25;
-      plan.recover_after = tr;
-      o.fault = plan;
+      o.scenario = resilience::FaultScenario{}.fail_components(
+          /*at=*/10, /*fraction=*/0.25, /*recover_after=*/tr);
     }
     const auto r = block_async_solve(a, b, o);
     ASSERT_TRUE(r.solve.ok()) << "tr=" << tr;
@@ -78,12 +69,8 @@ TEST(FaultTolerance, FailedFractionRespected) {
   BlockAsyncOptions o = base_options();
   o.solve.max_iters = 15;
   o.solve.tol = 0.0;
-  gpusim::FaultPlan plan;
-  plan.fail_at = 5;
-  plan.fraction = 0.5;
-  plan.recover_after = std::nullopt;
-  plan.seed = 99;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/5, /*fraction=*/0.5, /*recover_after=*/std::nullopt, /*seed=*/99);
   const auto faulty = block_async_solve(a, b, o);
   BlockAsyncOptions o2 = base_options();
   o2.solve.max_iters = 15;
@@ -97,11 +84,8 @@ TEST(FaultTolerance, RecoveredRunMatchesNoFailureSolution) {
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 8;
-  plan.fraction = 0.25;
-  plan.recover_after = 15;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/8, /*fraction=*/0.25, /*recover_after=*/15);
   const auto rec = block_async_solve(a, b, o);
   const auto clean = block_async_solve(a, b, base_options());
   ASSERT_TRUE(rec.solve.ok());
@@ -118,11 +102,8 @@ TEST(FaultTolerance, FullFractionFreezesTheWholeIterate) {
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   BlockAsyncOptions o = base_options();
   o.solve.max_iters = 60;
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 1.0;
-  plan.recover_after = std::nullopt;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/10, /*fraction=*/1.0, /*recover_after=*/std::nullopt);
   const auto r = block_async_solve(a, b, o);
   EXPECT_FALSE(r.solve.ok());
   ASSERT_GT(r.solve.residual_history.size(), 11u);
@@ -136,10 +117,8 @@ TEST(FaultTolerance, FailureBeyondIterationLimitIsInert) {
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   const auto clean = block_async_solve(a, b, base_options());
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = o.solve.max_iters + 100;
-  plan.fraction = 0.5;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/o.solve.max_iters + 100, /*fraction=*/0.5);
   const auto r = block_async_solve(a, b, o);
   EXPECT_EQ(r.solve.iterations, clean.solve.iterations);
   ASSERT_EQ(r.solve.residual_history.size(),
@@ -156,11 +135,8 @@ TEST(FaultTolerance, ZeroRecoveryDelayIsInert) {
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   const auto clean = block_async_solve(a, b, base_options());
   BlockAsyncOptions o = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.5;
-  plan.recover_after = 0;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/10, /*fraction=*/0.5, /*recover_after=*/0);
   const auto r = block_async_solve(a, b, o);
   EXPECT_EQ(r.solve.iterations, clean.solve.iterations);
   ASSERT_EQ(r.solve.residual_history.size(),

@@ -11,7 +11,7 @@
 #include <span>
 #include <vector>
 
-#include "core/block_jacobi_kernel.hpp"
+#include "backend/block_jacobi_kernel.hpp"
 #include "gpusim/block_kernel.hpp"
 #include "matrices/generators.hpp"
 #include "sparse/partition.hpp"

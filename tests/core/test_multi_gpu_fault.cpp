@@ -26,11 +26,8 @@ TEST(MultiGpuFault, NoRecoveryStagnatesOnTwoDevices) {
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
   MultiGpuOptions o = base(2, gpusim::TransferScheme::kAMC);
-  gpusim::FaultPlan plan;
-  plan.fail_at = 5;
-  plan.fraction = 0.25;
-  plan.recover_after = std::nullopt;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/5, /*fraction=*/0.25, /*recover_after=*/std::nullopt);
   const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
   EXPECT_FALSE(r.solve.ok());
   EXPECT_GT(r.solve.final_residual, 1e-8);
@@ -43,11 +40,8 @@ TEST(MultiGpuFault, RecoveryRestoresConvergenceAcrossSchemes) {
        {gpusim::TransferScheme::kAMC, gpusim::TransferScheme::kDC,
         gpusim::TransferScheme::kDK}) {
     MultiGpuOptions o = base(3, scheme);
-    gpusim::FaultPlan plan;
-    plan.fail_at = 5;
-    plan.fraction = 0.25;
-    plan.recover_after = 10;
-    o.fault = plan;
+    o.scenario = resilience::FaultScenario{}.fail_components(
+        /*at=*/5, /*fraction=*/0.25, /*recover_after=*/10);
     const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
     EXPECT_TRUE(r.solve.ok()) << to_string(scheme);
   }
@@ -59,11 +53,8 @@ TEST(MultiGpuFault, RecoveredSolutionMatchesCleanRun) {
   MultiGpuOptions clean = base(2, gpusim::TransferScheme::kAMC);
   const MultiGpuResult rc = multi_gpu_block_async_solve(a, b, clean);
   MultiGpuOptions faulty = clean;
-  gpusim::FaultPlan plan;
-  plan.fail_at = 4;
-  plan.fraction = 0.3;
-  plan.recover_after = 8;
-  faulty.fault = plan;
+  faulty.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/4, /*fraction=*/0.3, /*recover_after=*/8);
   const MultiGpuResult rf = multi_gpu_block_async_solve(a, b, faulty);
   ASSERT_TRUE(rc.solve.ok());
   ASSERT_TRUE(rf.solve.ok());
@@ -78,11 +69,8 @@ TEST(MultiGpuFault, FaultDelaysConvergence) {
   MultiGpuOptions clean = base(2, gpusim::TransferScheme::kAMC);
   const MultiGpuResult rc = multi_gpu_block_async_solve(a, b, clean);
   MultiGpuOptions faulty = clean;
-  gpusim::FaultPlan plan;
-  plan.fail_at = 4;
-  plan.fraction = 0.3;
-  plan.recover_after = 12;
-  faulty.fault = plan;
+  faulty.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/4, /*fraction=*/0.3, /*recover_after=*/12);
   const MultiGpuResult rf = multi_gpu_block_async_solve(a, b, faulty);
   ASSERT_TRUE(rc.solve.ok());
   ASSERT_TRUE(rf.solve.ok());

@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/block_async.hpp"
 #include "core/block_jacobi.hpp"
-#include "core/block_jacobi_kernel.hpp"
 #include "matrices/generators.hpp"
 #include "sparse/dense.hpp"
 

@@ -19,7 +19,8 @@ TEST(ThreadAsync, ConvergesOnStrictlyDominantSystem) {
   o.solve.max_iters = 5000;
   o.solve.tol = 1e-11;
   const ThreadAsyncResult r = thread_async_solve(a, b, o);
-  EXPECT_TRUE(r.solve.ok());
+  EXPECT_TRUE(r.solve.ok()) << to_string(r.solve.status) << " after "
+                            << r.solve.iterations << " iterations";
   EXPECT_LE(relative_residual(a, b, r.solve.x), 1e-10);
 }
 
@@ -33,7 +34,8 @@ TEST(ThreadAsync, SolutionMatchesDirectSolve) {
   o.solve.max_iters = 10000;
   o.solve.tol = 1e-12;
   const ThreadAsyncResult r = thread_async_solve(a, b, o);
-  ASSERT_TRUE(r.solve.ok());
+  ASSERT_TRUE(r.solve.ok()) << to_string(r.solve.status) << " after "
+                            << r.solve.iterations << " iterations";
   const Vector xd = Dense::from_csr(a).solve(b);
   for (std::size_t i = 0; i < b.size(); ++i) {
     EXPECT_NEAR(r.solve.x[i], xd[i], 1e-8);
@@ -53,8 +55,8 @@ TEST(ThreadAsync, LocalItersAccelerateConvergence) {
   o5.local_iters = 5;
   const auto r1 = thread_async_solve(a, b, o1);
   const auto r5 = thread_async_solve(a, b, o5);
-  ASSERT_TRUE(r1.solve.ok());
-  ASSERT_TRUE(r5.solve.ok());
+  ASSERT_TRUE(r1.solve.ok()) << to_string(r1.solve.status);
+  ASSERT_TRUE(r5.solve.ok()) << to_string(r5.solve.status);
   EXPECT_LT(r5.solve.iterations, r1.solve.iterations);
 }
 

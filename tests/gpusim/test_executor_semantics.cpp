@@ -3,10 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/block_jacobi_kernel.hpp"
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/solver_types.hpp"
 #include "gpusim/async_executor.hpp"
 #include "matrices/generators.hpp"
+#include "resilience/scenario.hpp"
 
 namespace bars::gpusim {
 namespace {
@@ -100,12 +101,9 @@ TEST(ExecutorSemantics, FaultFreezesExactFraction) {
   ExecutorOptions o;
   o.stopping.max_global_iters = 12;
   o.stopping.tol = 0.0;
-  FaultPlan plan;
-  plan.fail_at = 2;
-  plan.fraction = 0.5;
-  plan.recover_after = std::nullopt;
-  plan.seed = 77;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/2, /*fraction=*/0.5, /*recover_after=*/std::nullopt,
+      /*seed=*/77);
   AsyncExecutor ex(s.kernel, o);
   Vector x(s.b.size(), 0.0);
   const auto r =
@@ -116,7 +114,7 @@ TEST(ExecutorSemantics, FaultFreezesExactFraction) {
   // iterations and compare — frozen entries must deviate from the
   // converged run.
   ExecutorOptions clean = o;
-  clean.fault.reset();
+  clean.scenario.reset();
   AsyncExecutor ex2(s.kernel, clean);
   Vector x2(s.b.size(), 0.0);
   (void)ex2.run(x2, [&](const Vector& v) { return s.res(v); });
@@ -130,18 +128,15 @@ TEST(ExecutorSemantics, FaultFreezesExactFraction) {
 
 TEST(ExecutorSemantics, RecoveryTimingHonored) {
   Sys s(16, 32, 2);
-  FaultPlan plan;
-  plan.fail_at = 3;
-  plan.fraction = 0.4;
-  plan.recover_after = 6;
   ExecutorOptions o;
   o.stopping.max_global_iters = 500;
   o.stopping.tol = 1e-11;
-  o.fault = plan;
+  o.scenario = resilience::FaultScenario{}.fail_components(
+      /*at=*/3, /*fraction=*/0.4, /*recover_after=*/6);
   const auto faulty = run(s, o);
   ASSERT_TRUE(faulty.ok());
   ExecutorOptions clean = o;
-  clean.fault.reset();
+  clean.scenario.reset();
   const auto ok = run(s, clean);
   ASSERT_TRUE(ok.ok());
   // The outage window (6 iterations) must show up as extra iterations.

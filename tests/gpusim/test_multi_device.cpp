@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/block_jacobi_kernel.hpp"
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/solver_types.hpp"
 #include "matrices/generators.hpp"
 #include "sparse/partition.hpp"

@@ -1,25 +1,18 @@
-/// Parallel commit path and incremental residual: the hot-path
-/// optimizations must be invisible in the results — the parallel
-/// executor replays bookkeeping in event order and is bit-identical to
-/// the serial loop, and the incrementally-maintained residual agrees
-/// with the full recompute to fp-drift precision.
+/// Parallel commit path: the hot-path optimization must be invisible
+/// in the results — the parallel executor replays bookkeeping in event
+/// order and is bit-identical to the serial loop.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdint>
-#include <span>
 #include <vector>
 
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/block_async.hpp"
-#include "core/block_jacobi_kernel.hpp"
 #include "core/solver_types.hpp"
 #include "gpusim/async_executor.hpp"
-#include "gpusim/incremental_residual.hpp"
 #include "gpusim/worker_pool.hpp"
 #include "matrices/generators.hpp"
-#include "resilience/scenario.hpp"
 
 namespace bars::gpusim {
 namespace {
@@ -189,118 +182,6 @@ TEST(ParallelExecutor, SolverLevelRoundTrip) {
   EXPECT_EQ(serial.solve.x, parallel.solve.x);
   EXPECT_EQ(serial.solve.residual_history, parallel.solve.residual_history);
   EXPECT_EQ(serial.solve.iterations, parallel.solve.iterations);
-}
-
-// ------------------------------------------------ incremental residual
-
-TEST(IncrementalResidualTest, MatchesExactAftermanualCommits) {
-  const Csr a = trefethen(200);
-  const Vector b(200, 1.0);
-  const RowPartition part = RowPartition::uniform(200, 16);
-  IncrementalResidual tracker(a, b, part);
-  Vector x(200, 0.0);
-  tracker.reset(x);
-  EXPECT_DOUBLE_EQ(tracker.relative(), relative_residual(a, b, x));
-
-  // Commit synthetic updates block by block and compare against the
-  // full recompute each time.
-  std::uint64_t state = 12345;
-  const auto next = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<value_t>(state >> 40) / 16777216.0 - 0.5;
-  };
-  for (index_t round = 0; round < 5; ++round) {
-    for (index_t blk = 0; blk < part.num_blocks(); ++blk) {
-      const RowBlock r = part.block(blk);
-      Vector old(x.begin() + r.begin, x.begin() + r.end);
-      for (index_t i = r.begin; i < r.end; ++i) x[i] += 0.1 * next();
-      tracker.block_committed(
-          blk, old,
-          std::span<const value_t>(x).subspan(
-              static_cast<std::size_t>(r.begin),
-              static_cast<std::size_t>(r.end - r.begin)));
-      const value_t exact = relative_residual(a, b, x);
-      EXPECT_NEAR(tracker.relative(), exact, 1e-12 * std::max(1.0, exact));
-    }
-  }
-}
-
-TEST(IncrementalResidualTest, HistoryMatchesExactRunOnPlainSolve) {
-  const Csr a = fv_like(20, 0.6);
-  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  BlockAsyncOptions o;
-  o.solve.max_iters = 50;
-  o.solve.tol = 0.0;  // fixed-length run: histories align index-wise
-  o.solve.record_history = true;
-  o.block_size = 16;
-  o.local_iters = 2;
-  o.policy = gpusim::SchedulePolicy::kRoundRobin;
-  o.residual_refresh_every = 10;
-  o.incremental_residual = false;
-  const auto exact = block_async_solve(a, b, o);
-  o.incremental_residual = true;
-  const auto inc = block_async_solve(a, b, o);
-  EXPECT_EQ(exact.solve.x, inc.solve.x);  // tracking never perturbs x
-  ASSERT_EQ(exact.solve.residual_history.size(),
-            inc.solve.residual_history.size());
-  for (std::size_t k = 0; k < exact.solve.residual_history.size(); ++k) {
-    const value_t e = exact.solve.residual_history[k];
-    EXPECT_NEAR(inc.solve.residual_history[k], e, 1e-12 * std::max(1.0, e))
-        << "iteration " << k;
-  }
-}
-
-TEST(IncrementalResidualTest, AgreesWithExactUnderFaultScenario) {
-  // Component failures freeze rows and halo corruption injects noise;
-  // the tracker's deltas are computed from the actually-committed
-  // values, so it must stay exact (to fp drift) through both.
-  const Csr a = fv_like(20, 0.6);
-  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  resilience::FaultScenario scenario;
-  scenario.fail_components(/*at=*/5, /*fraction=*/0.3, /*recover_after=*/10)
-      .corrupt_halo(/*at=*/8, /*duration=*/4, /*magnitude=*/5.0);
-  BlockAsyncOptions o;
-  o.solve.max_iters = 40;
-  o.solve.tol = 0.0;
-  o.solve.record_history = true;
-  o.block_size = 16;
-  o.local_iters = 1;
-  o.policy = gpusim::SchedulePolicy::kJittered;
-  o.seed = 11;
-  o.scenario = scenario;
-  o.residual_refresh_every = 15;
-  o.incremental_residual = false;
-  const auto exact = block_async_solve(a, b, o);
-  o.incremental_residual = true;
-  const auto inc = block_async_solve(a, b, o);
-  EXPECT_EQ(exact.solve.x, inc.solve.x);
-  ASSERT_EQ(exact.solve.residual_history.size(),
-            inc.solve.residual_history.size());
-  for (std::size_t k = 0; k < exact.solve.residual_history.size(); ++k) {
-    const value_t e = exact.solve.residual_history[k];
-    EXPECT_NEAR(inc.solve.residual_history[k], e, 1e-12 * std::max(1.0, e))
-        << "iteration " << k;
-  }
-}
-
-TEST(IncrementalResidualTest, DisabledUnderResiliencePolicy) {
-  // Rollbacks rewrite x behind the tracker's back, so the solver must
-  // silently fall back to exact residuals — same results either way.
-  const Csr a = fv_like(12, 0.6);
-  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  resilience::Policy policy;  // defaults: checkpointing enabled
-  BlockAsyncOptions o;
-  o.solve.max_iters = 30;
-  o.solve.tol = 1e-10;
-  o.solve.record_history = true;
-  o.block_size = 16;
-  o.resilience = policy;
-  o.incremental_residual = false;
-  const auto off = block_async_solve(a, b, o);
-  o.incremental_residual = true;
-  const auto on = block_async_solve(a, b, o);
-  EXPECT_EQ(off.solve.x, on.solve.x);
-  EXPECT_EQ(off.solve.residual_history, on.solve.residual_history);
 }
 
 }  // namespace

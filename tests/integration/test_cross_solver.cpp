@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/block_async.hpp"
 #include "core/cg.hpp"
@@ -25,6 +26,11 @@ Csr make_fv() { return fv_like(12, 0.7); }
 Csr make_tref() { return trefethen(150); }
 Csr make_chem() { return chem97ztz_like(151, 0.6); }
 Csr make_rand() { return random_spd(120, 4, 1.8, 2024); }
+
+// Without a printer gtest shows a CaseSpec as its raw bytes, two
+// addresses included, and the test names ctest discovers then change
+// from one build to the next.
+void PrintTo(const CaseSpec& spec, std::ostream* os) { *os << spec.name; }
 
 class CrossSolver : public ::testing::TestWithParam<CaseSpec> {};
 

@@ -32,9 +32,8 @@ TEST(ScenarioTimeline, EventActiveExactlyInsideWindow) {
 }
 
 TEST(ScenarioTimeline, ZeroDurationNeverObserved) {
-  // recover_after = 0 matches the legacy FaultPlan semantics: the
-  // activation and the reassignment coincide, so no write ever sees
-  // the mask.
+  // recover_after = 0 is an immediate reassignment: the activation
+  // and the reassignment coincide, so no write ever sees the mask.
   resilience::FaultScenario s;
   s.fail_components(5, 0.5, 0);
   resilience::ScenarioTimeline t(s, 100);
@@ -136,28 +135,6 @@ BlockAsyncOptions base_options() {
   o.solve.tol = 1e-13;
   o.seed = 7;
   return o;
-}
-
-TEST(ScenarioSolve, LegacyPlanAndOneEventScenarioAreBitIdentical) {
-  // The FaultPlan adapter must reproduce the legacy single-event run
-  // exactly (same seed -> same mask -> same residual trajectory).
-  const Csr a = test_matrix();
-  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  BlockAsyncOptions legacy = base_options();
-  gpusim::FaultPlan plan;
-  plan.fail_at = 10;
-  plan.fraction = 0.25;
-  plan.recover_after = 15;
-  legacy.fault = plan;
-  BlockAsyncOptions scripted = base_options();
-  scripted.scenario = gpusim::to_scenario(plan);
-  const auto r1 = block_async_solve(a, b, legacy);
-  const auto r2 = block_async_solve(a, b, scripted);
-  ASSERT_EQ(r1.solve.residual_history.size(),
-            r2.solve.residual_history.size());
-  for (std::size_t i = 0; i < r1.solve.residual_history.size(); ++i) {
-    EXPECT_EQ(r1.solve.residual_history[i], r2.solve.residual_history[i]);
-  }
 }
 
 TEST(ScenarioSolve, TwoFailureWavesRecoverToFaultFreeAccuracy) {

@@ -455,6 +455,43 @@ TEST(ServiceHardening, HedgeRescuesAStalledWorker) {
   EXPECT_EQ(s.solved, 1u);
 }
 
+TEST(ServiceHardening, WatchdogDisarmsWhenASiblingAlreadyAnswered) {
+  // The hedge answers at ~40 ms while the primary sleeps in a stalled
+  // dispatch past its stuck deadline (300 ms). The watchdog must disarm
+  // that attempt instead of re-arming its expired timer forever: a
+  // supervisor spinning on it never releases the service mutex, so the
+  // stalled worker could never report its late finish.
+  resilience::FaultScenario scenario;
+  scenario.stall_workers(0.0, 0.02, /*stall_s=*/0.5);
+  resilience::ServiceFaultInjector chaos(scenario);
+
+  ServiceOptions so;
+  so.num_workers = 2;
+  so.retry.hedging = true;
+  so.retry.hedge_min_delay = milliseconds(40);
+  so.supervision.max_requeues = 1;
+  so.supervision.grace_factor = 1.5;
+  so.chaos = &chaos;
+  SolveService svc(so);
+
+  chaos.start();
+  auto req = small_request(shared_fv(10, 0.6));
+  req.deadline = milliseconds(200);
+  const SolveResponse r = svc.solve(std::move(req));
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(r.hedged);
+
+  // Keep the service up (shutdown disarms supervision) until the
+  // stalled primary's late finish lands.
+  ASSERT_TRUE(eventually([&] { return svc.stats().late_completions == 1; },
+                         milliseconds(3000)));
+  svc.shutdown();
+  const ServiceStats s = svc.stats();
+  EXPECT_EQ(s.hedges, 1u);
+  EXPECT_EQ(s.requeues, 0u);
+  EXPECT_EQ(s.solved, 1u);
+}
+
 TEST(ServiceHardening, WatchdogRequeuesAStuckWorker) {
   resilience::FaultScenario scenario;
   scenario.stall_workers(0.0, 0.02, /*stall_s=*/0.5);

@@ -12,7 +12,7 @@
 #include <cstring>
 #include <vector>
 
-#include "core/block_jacobi_kernel.hpp"
+#include "backend/block_jacobi_kernel.hpp"
 #include "core/solver_types.hpp"
 #include "core/thread_async.hpp"
 #include "gpusim/async_executor.hpp"
