@@ -30,21 +30,24 @@ MultiGpuResult multi_gpu_block_async_solve(const Csr& a, const Vector& b,
       opts.cost_model ? *opts.cost_model : kDefaultModel;
   const gpusim::MatrixShape shape{opts.matrix_name, a.rows(), a.nnz()};
 
-  gpusim::MultiDeviceOptions exec;
+  gpusim::ExecutorOptions exec;
   exec.num_devices = opts.num_devices;
   exec.scheme = opts.scheme;
-  exec.params = opts.transfer;
+  exec.transfer = opts.transfer;
   exec.stopping.max_global_iters = opts.solve.max_iters;
   exec.stopping.tol = opts.solve.tol;
   exec.stopping.divergence_limit = opts.solve.divergence_limit;
   exec.stopping.cancel = opts.solve.cancel;
   exec.telemetry = opts.solve.telemetry;
-  exec.slots_per_device = opts.slots_per_device;
+  exec.concurrent_slots = opts.slots_per_device;
   exec.global_iteration_time =
       model.gpu_block_async_iteration(shape, opts.local_iters);
   exec.jitter = opts.jitter;
   exec.straggler_prob = opts.straggler_prob;
   exec.straggler_factor = opts.straggler_factor;
+  // The multi-GPU model (Fig. 11) is calibrated with a per-device
+  // bounded shift of 4, not the single-device default of 2.
+  exec.max_generation_skew = 4;
   exec.seed = opts.seed;
   exec.scenario = opts.scenario;
   exec.resilience = opts.resilience;
@@ -56,11 +59,11 @@ MultiGpuResult multi_gpu_block_async_solve(const Csr& a, const Vector& b,
   probe.start(a.rows(), a.nnz(), part.num_blocks(), opts.num_devices,
               telemetry::TimeDomain::kVirtual);
 
-  gpusim::MultiDeviceExecutor executor(kernel, exec);
+  gpusim::AsyncExecutor executor(kernel, exec);
   const auto residual_fn = [&](const Vector& x) {
     return relative_residual(a, b, x);
   };
-  gpusim::MultiDeviceResult r = executor.run(out.solve.x, residual_fn);
+  gpusim::ExecutorResult r = executor.run(out.solve.x, residual_fn);
 
   out.solve.status = r.status;
   out.solve.iterations = r.global_iterations;
@@ -74,8 +77,11 @@ MultiGpuResult multi_gpu_block_async_solve(const Csr& a, const Vector& b,
   out.num_transfers = r.num_transfers;
   out.time_to_convergence = r.virtual_time;
   out.resilience = std::move(r.resilience);
+  index_t commits = 0;
+  for (index_t c : r.block_executions) commits += c;
   probe.finish(out.solve.status, out.solve.iterations,
-               out.solve.final_residual, 0, 0, r.virtual_time,
+               out.solve.final_residual, commits, r.max_staleness,
+               r.virtual_time,
                out.resilience.rollbacks + out.resilience.damped_restarts);
   return out;
 }

@@ -6,7 +6,7 @@
 #include "backend/kernel_backend.hpp"
 #include "core/solver_types.hpp"
 #include "gpusim/cost_model.hpp"
-#include "gpusim/multi_device.hpp"
+#include "gpusim/async_executor.hpp"
 
 /// \file multi_gpu_solver.hpp
 /// Front-end for the multi-GPU block-asynchronous iteration (paper

@@ -7,6 +7,7 @@
 #include "common/solver_status.hpp"
 #include "gpusim/block_kernel.hpp"
 #include "gpusim/stopping.hpp"
+#include "gpusim/topology.hpp"
 #include "gpusim/trace.hpp"
 #include "resilience/recovery.hpp"
 #include "resilience/scenario.hpp"
@@ -14,18 +15,38 @@
 #include "telemetry/options.hpp"
 
 /// \file async_executor.hpp
-/// Discrete-event simulator of one GPU running an asynchronous
-/// block-relaxation kernel (paper Section 3.3).
+/// Discrete-event simulator of the block-asynchronous iteration on one
+/// GPU (paper Section 3.3) or on several (Sections 3.4 and 4.6).
 ///
-/// Execution model: the device has `concurrent_slots` multiprocessors.
+/// Execution model: each device has `concurrent_slots` multiprocessors.
 /// Ready blocks start in scheduler order as slots free up. A block
-/// execution is split into a START event (halo snapshot at virtual time
-/// t) and a WRITE event (commit at t + duration). Between a block's
-/// snapshot and its commit other blocks commit — exactly the chaotic
-/// staleness of Chazan-Miranker iterations, with the shift function
-/// realized by the seeded event interleaving. Durations carry seeded
-/// jitter and occasional stragglers, mimicking the non-deterministic
-/// GPU-internal scheduling the paper studies in Section 4.1.
+/// execution is split into a START event, a READ event (halo snapshot
+/// at a point inside the execution) and a WRITE event (commit at
+/// t + duration). Between a block's snapshot and its commit other
+/// blocks commit — exactly the chaotic staleness of Chazan-Miranker
+/// iterations, with the shift function realized by the seeded event
+/// interleaving. Durations carry seeded jitter and occasional
+/// stragglers, mimicking the non-deterministic GPU-internal scheduling
+/// the paper studies in Section 4.1.
+///
+/// Device layout: with more than one device the block set is split
+/// contiguously across them; each device runs the model above on its
+/// own blocks, and the transfer scheme decides *when remote segments
+/// become visible* and what each device-sweep costs on which links:
+///
+///  - AMC: at each device-sweep end the device uploads its segment to
+///    the host (own PCIe link, short stall), the host forwards it to the
+///    other devices on their links. Cross-socket traffic pays a QPI
+///    visibility latency.
+///  - DC: at each sweep end the device pushes its segment to the master
+///    GPU and pulls the canonical vector back before its next sweep; all
+///    traffic serializes on the master's PCIe link, with a per-transfer
+///    GPU-direct sync overhead.
+///  - DK: a single canonical vector lives on the master; non-master
+///    kernels read/write it remotely, inflating their execution time by
+///    a penalty factor but making updates immediately visible.
+///  - none (the default): one device, no transfers; x is updated in
+///    place.
 
 namespace bars::gpusim {
 
@@ -56,7 +77,7 @@ struct ExecutorOptions {
   /// branch per commit.
   telemetry::TelemetryOptions telemetry{};
 
-  index_t concurrent_slots = 14;  ///< multiprocessors (C2070: 14)
+  index_t concurrent_slots = 14;  ///< multiprocessors per device (C2070: 14)
   /// Virtual seconds for one *global* iteration (all blocks once);
   /// per-block duration is derived as global_iteration_time *
   /// concurrent_slots / num_blocks (capped at num_blocks).
@@ -65,9 +86,10 @@ struct ExecutorOptions {
   value_t straggler_prob = 0.05;    ///< chance a block is delayed...
   value_t straggler_factor = 2.0;   ///< ...by this duration factor
   /// Chazan-Miranker condition 2 (bounded shift): a block may not run
-  /// more than this many generations ahead of the slowest block. The
-  /// GPU's greedy block scheduler provides the same guarantee because
-  /// every queued block eventually gets a multiprocessor.
+  /// more than this many generations ahead of the slowest block on its
+  /// device. The GPU's greedy block scheduler provides the same
+  /// guarantee because every queued block eventually gets a
+  /// multiprocessor. The multi-GPU front-end sets 4.
   index_t max_generation_skew = 2;
   /// Point within a block's execution at which the halo is read, as a
   /// fraction of the execution duration. 0 = most pessimistic (read at
@@ -89,9 +111,10 @@ struct ExecutorOptions {
   value_t run_noise = 2.0e-3;
   /// Record one TraceEvent per block execution (memory ~ O(executions)).
   bool record_trace = false;
-  /// Fault timeline (component failures, halo corruption; device/link
-  /// events are multi-GPU-only and ignored here). The paper's Section
-  /// 4.5 failure is FaultScenario{}.fail_components(...).
+  /// Fault timeline (component failures, halo corruption; device
+  /// dropout and link failures need a transfer scheme and are ignored
+  /// under kNone). The paper's Section 4.5 failure is
+  /// FaultScenario{}.fail_components(...).
   std::optional<resilience::FaultScenario> scenario;
   /// Active recovery: checkpoint/rollback, online SDC detection,
   /// watchdog supervision. Unset = plain run (legacy behavior).
@@ -104,8 +127,15 @@ struct ExecutorOptions {
   /// trace — are bit-identical to the serial path. Requires
   /// kernel.parallel_commit_safe(); fault timelines and resilience
   /// policies automatically fall back to serial commits because their
-  /// iteration boundaries may mutate state mid-batch. 0 or 1 = serial.
+  /// iteration boundaries may mutate state mid-batch, and so do
+  /// multi-device runs. 0 or 1 = serial.
   index_t num_workers = 0;
+
+  /// Device layout (see the file comment): 1..8 devices, more than one
+  /// only with a transfer scheme.
+  index_t num_devices = 1;
+  TransferScheme scheme = TransferScheme::kNone;
+  TransferParams transfer{};
 };
 
 struct ExecutorResult {
@@ -131,8 +161,13 @@ struct ExecutorResult {
   /// Execution trace (only populated when options.record_trace).
   ExecutionTrace trace;
   /// What the resilience layer did (checkpoints, rollbacks, watchdog
-  /// actions); all-zero for plain runs.
+  /// actions, link retries); all-zero for plain runs.
   resilience::Report resilience;
+  /// Bytes moved and transfers made by the transfer scheme (zero under
+  /// kNone).
+  value_t bytes_host_device = 0.0;
+  value_t bytes_device_device = 0.0;
+  index_t num_transfers = 0;
 };
 
 /// Runs the kernel to convergence (or max_global_iters) in virtual time.

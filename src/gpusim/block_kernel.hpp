@@ -18,7 +18,6 @@ namespace bars::gpusim {
 /// Per-execution context handed to the kernel.
 struct ExecContext {
   value_t virtual_time = 0.0;   ///< simulated seconds at block start
-  index_t block_generation = 0; ///< how many times this block ran before
   /// Optional component fault mask (size n). A true entry marks a
   /// component whose owning core has failed: the kernel must leave its
   /// value untouched (paper Section 4.5). nullptr when no fault active.

@@ -12,13 +12,12 @@
 #include "telemetry/observer.hpp"
 
 /// \file stopping.hpp
-/// Shared per-global-iteration bookkeeping for AsyncExecutor and
-/// MultiDeviceExecutor: residual/time history recording, the
-/// convergence/divergence/iteration-limit verdict (previously
-/// duplicated in both run loops), and the single place where the
-/// resilience layer hooks into a solve — online SDC detection with
-/// checkpoint rollback, watchdog supervision with component
-/// reassignment, and damped restarts on divergence.
+/// Per-global-iteration bookkeeping of AsyncExecutor's run loop:
+/// residual/time history recording, the convergence/divergence/
+/// iteration-limit verdict, and the single place where the resilience
+/// layer hooks into a solve — online SDC detection with checkpoint
+/// rollback, watchdog supervision with component reassignment, and
+/// damped restarts on divergence.
 
 namespace bars::gpusim {
 
@@ -41,15 +40,15 @@ enum class StopVerdict {
 
 /// Drives one solve's global-iteration boundaries. `policy` and
 /// `timeline` may be null (plain run, legacy behavior bit-for-bit).
-/// The monitor owns the residual/time histories; executors move them
-/// into their result structs after the run loop.
+/// The monitor owns the residual/time histories; the executor moves
+/// them into its result after the run loop.
 ///
-/// The monitor is also the telemetry emission point shared by both
-/// executors: when an observer is attached it receives one
-/// on_iteration per boundary (mirroring the history entries) and one
-/// on_recovery_event per resilience action. Solver front-ends emit
-/// on_start / on_finish themselves (they know the solver name and the
-/// wall clock); the executors emit on_block_commit.
+/// The monitor is also a telemetry emission point: when an observer is
+/// attached it receives one on_iteration per boundary (mirroring the
+/// history entries) and one on_recovery_event per resilience action.
+/// Solver front-ends emit on_start / on_finish themselves (they know
+/// the solver name and the wall clock); the executor emits
+/// on_block_commit.
 class IterationMonitor {
  public:
   IterationMonitor(StoppingCriteria criteria,
@@ -74,8 +73,8 @@ class IterationMonitor {
   [[nodiscard]] std::vector<value_t>& time_history() { return times_; }
 
   /// Number of times the monitor rewrote the iterate (rollbacks +
-  /// damped restarts). The multi-device executor compares this across a
-  /// boundary call to know when device views must be re-broadcast.
+  /// damped restarts). The executor compares this across a boundary
+  /// call to know when per-device views must be re-broadcast.
   [[nodiscard]] index_t iterate_mutations() const {
     return report_.rollbacks + report_.damped_restarts;
   }

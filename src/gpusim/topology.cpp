@@ -7,6 +7,8 @@ namespace bars::gpusim {
 
 std::string to_string(TransferScheme s) {
   switch (s) {
+    case TransferScheme::kNone:
+      return "none";
     case TransferScheme::kAMC:
       return "AMC";
     case TransferScheme::kDC:

@@ -14,8 +14,10 @@
 
 namespace bars::gpusim {
 
-/// The three communication schemes the paper implements (Fig. 4).
+/// The three communication schemes the paper implements (Fig. 4), plus
+/// kNone for a single device that transfers nothing.
 enum class TransferScheme {
+  kNone,  ///< one device, iterate updated in place (Section 3.3)
   kAMC,  ///< Asynchronous Multicopy: host-staged, per-device PCIe links
   kDC,   ///< GPU-Direct memory transfer via a master GPU's link
   kDK,   ///< GPU-Direct kernel access into the master GPU's memory

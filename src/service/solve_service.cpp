@@ -630,8 +630,14 @@ void SolveService::supervisor_loop() {
       }
       if (p->token.requested()) continue;
       earliest = std::min(earliest, p->deadline);
+      // A hedge needs a queue slot (step 4). With the queue full an
+      // expired hedge timer would stay in the past and spin this loop
+      // holding mu_, blocking every submit and dispatch until the
+      // attempt's deadline; a worker's next dispatch frees a slot and
+      // wakes this loop to re-arm it.
       if (hedging && !p->is_hedge && !p->hedge_spawned &&
-          p->rs->hedges < opts_.retry.max_hedges) {
+          p->rs->hedges < opts_.retry.max_hedges &&
+          queue_.size() < opts_.queue_capacity) {
         earliest = std::min(earliest, p->dispatched + hedge_delay);
       }
     }

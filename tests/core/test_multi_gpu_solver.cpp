@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "matrices/generators.hpp"
+#include "telemetry/observer.hpp"
 
 namespace bars {
 namespace {
@@ -85,6 +86,36 @@ TEST(MultiGpuSolver, AllSchemesReachSameSolution) {
       }
     }
   }
+}
+
+/// Counts commit events and keeps the finish summary.
+class FinishRecorder : public telemetry::SolveObserver {
+ public:
+  void on_block_commit(const telemetry::BlockCommitEvent& /*ev*/) override {
+    ++commits;
+  }
+  void on_finish(const telemetry::SolveFinishEvent& ev) override {
+    finish = ev;
+  }
+  index_t commits = 0;
+  telemetry::SolveFinishEvent finish;
+};
+
+TEST(MultiGpuSolver, FinishSummaryMatchesCommitStream) {
+  const Csr a = fv_like(12, 0.6);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  FinishRecorder rec;
+  MultiGpuOptions o;
+  o.block_size = 16;
+  o.num_devices = 2;
+  o.solve.tol = 1e-10;
+  o.solve.telemetry.observer = &rec;
+  o.solve.telemetry.block_commits = true;
+  const auto r = multi_gpu_block_async_solve(a, b, o);
+  ASSERT_TRUE(r.solve.ok());
+  EXPECT_GT(rec.commits, 0);
+  EXPECT_EQ(rec.finish.block_commits, rec.commits);
+  EXPECT_GE(rec.finish.max_staleness, 1);
 }
 
 TEST(MultiGpuSolver, RejectsDimensionMismatch) {

@@ -1,11 +1,17 @@
-#include "gpusim/multi_device.hpp"
+/// The multi-device layout of AsyncExecutor (paper Sections 3.4, 4.6):
+/// the AMC, DC and DK transfer schemes over 1..4 simulated GPUs.
+
+#include "gpusim/async_executor.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "backend/block_jacobi_kernel.hpp"
 #include "core/solver_types.hpp"
 #include "matrices/generators.hpp"
 #include "sparse/partition.hpp"
+#include "telemetry/observer.hpp"
 
 namespace bars::gpusim {
 namespace {
@@ -25,17 +31,29 @@ struct Fixture {
   }
 };
 
-MultiDeviceResult run_with(Fixture& s, TransferScheme scheme, index_t devices,
-                           index_t max_iters = 5000, value_t tol = 1e-11) {
-  MultiDeviceOptions o;
+/// Options of a multi-device run, with the multi-GPU front-end's
+/// bounded shift.
+ExecutorOptions multi(index_t devices, TransferScheme scheme) {
+  ExecutorOptions o;
   o.num_devices = devices;
   o.scheme = scheme;
+  o.max_generation_skew = 4;
+  return o;
+}
+
+ExecutorResult run_with(Fixture& s, ExecutorOptions o) {
+  AsyncExecutor ex(s.kernel, o);
+  Vector x(s.b.size(), 0.0);
+  return ex.run(x, [&](const Vector& v) { return s.residual(v); });
+}
+
+ExecutorResult run_with(Fixture& s, TransferScheme scheme, index_t devices,
+                        index_t max_iters = 5000, value_t tol = 1e-11) {
+  ExecutorOptions o = multi(devices, scheme);
   o.stopping.max_global_iters = max_iters;
   o.stopping.tol = tol;
   o.seed = 77;
-  MultiDeviceExecutor ex(s.kernel, o);
-  Vector x(s.b.size(), 0.0);
-  return ex.run(x, [&](const Vector& v) { return s.residual(v); });
+  return run_with(s, o);
 }
 
 TEST(MultiDevice, AllSchemesConvergeSingleDevice) {
@@ -106,21 +124,18 @@ TEST(MultiDevice, ResultMatchesSolutionAcrossSchemes) {
   const Vector ref = [&] {
     auto r = run_with(s, TransferScheme::kAMC, 1);
     Vector x(s.b.size(), 0.0);
-    MultiDeviceOptions o;
-    o.num_devices = 1;
+    ExecutorOptions o = multi(1, TransferScheme::kAMC);
     o.stopping.tol = 1e-12;
     o.stopping.max_global_iters = 20000;
-    MultiDeviceExecutor ex(s.kernel, o);
+    AsyncExecutor ex(s.kernel, o);
     (void)ex.run(x, [&](const Vector& v) { return s.residual(v); });
     return x;
   }();
   for (auto scheme : {TransferScheme::kDC, TransferScheme::kDK}) {
-    MultiDeviceOptions o;
-    o.num_devices = 3;
-    o.scheme = scheme;
+    ExecutorOptions o = multi(3, scheme);
     o.stopping.tol = 1e-12;
     o.stopping.max_global_iters = 20000;
-    MultiDeviceExecutor ex(s.kernel, o);
+    AsyncExecutor ex(s.kernel, o);
     Vector x(s.b.size(), 0.0);
     (void)ex.run(x, [&](const Vector& v) { return s.residual(v); });
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -131,20 +146,76 @@ TEST(MultiDevice, ResultMatchesSolutionAcrossSchemes) {
 
 TEST(MultiDevice, RejectsBadOptions) {
   Fixture s;
-  MultiDeviceOptions o;
-  o.num_devices = 0;
-  EXPECT_THROW(MultiDeviceExecutor(s.kernel, o), std::invalid_argument);
+  ExecutorOptions o = multi(0, TransferScheme::kAMC);
+  EXPECT_THROW(AsyncExecutor(s.kernel, o), std::invalid_argument);
   o.num_devices = 9;
-  EXPECT_THROW(MultiDeviceExecutor(s.kernel, o), std::invalid_argument);
+  EXPECT_THROW(AsyncExecutor(s.kernel, o), std::invalid_argument);
   o.num_devices = 2;
   o.global_iteration_time = -1.0;
-  EXPECT_THROW(MultiDeviceExecutor(s.kernel, o), std::invalid_argument);
+  EXPECT_THROW(AsyncExecutor(s.kernel, o), std::invalid_argument);
+  // Several devices without a transfer scheme have no defined visibility.
+  o = multi(2, TransferScheme::kNone);
+  EXPECT_THROW(AsyncExecutor(s.kernel, o), std::invalid_argument);
 }
 
 TEST(MultiDevice, MoreDevicesThanBlocksClamps) {
   Fixture s(6, 18, 1);  // n = 36: only 2 blocks
   const auto r = run_with(s, TransferScheme::kAMC, 4);
   EXPECT_TRUE(r.ok());
+}
+
+TEST(MultiDevice, AmcTraceCountsEveryExecution) {
+  Fixture s;
+  for (index_t devices : {2, 4}) {
+    ExecutorOptions o = multi(devices, TransferScheme::kAMC);
+    o.stopping.max_global_iters = 30;
+    o.stopping.tol = 0.0;
+    o.record_trace = true;
+    const ExecutorResult r = run_with(s, o);
+    ASSERT_EQ(static_cast<index_t>(r.block_executions.size()),
+              s.kernel.num_blocks());
+    index_t executions = 0;
+    for (index_t c : r.block_executions) {
+      EXPECT_GT(c, 0) << devices << " devices";
+      executions += c;
+    }
+    EXPECT_EQ(executions, r.global_iterations * s.kernel.num_blocks());
+    EXPECT_EQ(static_cast<index_t>(r.trace.events().size()), executions)
+        << devices << " devices";
+    EXPECT_GE(r.max_staleness, 1) << devices << " devices";
+  }
+}
+
+/// Records the device and staleness of every commit event.
+class CommitRecorder : public telemetry::SolveObserver {
+ public:
+  void on_block_commit(const telemetry::BlockCommitEvent& ev) override {
+    commits.push_back(ev);
+  }
+  std::vector<telemetry::BlockCommitEvent> commits;
+};
+
+TEST(MultiDevice, CommitStreamCarriesDeviceAndStaleness) {
+  Fixture s;
+  CommitRecorder rec;
+  ExecutorOptions o = multi(2, TransferScheme::kAMC);
+  o.stopping.max_global_iters = 20;
+  o.stopping.tol = 0.0;
+  o.telemetry.observer = &rec;
+  o.telemetry.block_commits = true;
+  const ExecutorResult r = run_with(s, o);
+  ASSERT_FALSE(rec.commits.empty());
+  const index_t half = s.kernel.num_blocks() / 2;
+  index_t max_staleness = 0;
+  bool saw_device1 = false;
+  for (const auto& c : rec.commits) {
+    EXPECT_EQ(c.device, c.block < half ? 0 : 1) << "block " << c.block;
+    saw_device1 = saw_device1 || c.device == 1;
+    max_staleness = std::max(max_staleness, c.staleness);
+  }
+  EXPECT_TRUE(saw_device1);
+  EXPECT_GE(max_staleness, 1);
+  EXPECT_LE(max_staleness, r.max_staleness);
 }
 
 }  // namespace

@@ -64,6 +64,7 @@ TEST(Topology, BadDeviceIndexThrows) {
 }
 
 TEST(TransferScheme, Names) {
+  EXPECT_EQ(to_string(TransferScheme::kNone), "none");
   EXPECT_EQ(to_string(TransferScheme::kAMC), "AMC");
   EXPECT_EQ(to_string(TransferScheme::kDC), "DC");
   EXPECT_EQ(to_string(TransferScheme::kDK), "DK");

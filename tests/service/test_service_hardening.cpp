@@ -455,6 +455,46 @@ TEST(ServiceHardening, HedgeRescuesAStalledWorker) {
   EXPECT_EQ(s.solved, 1u);
 }
 
+TEST(ServiceHardening, DueHedgeWithAFullQueueDoesNotBlockSubmit) {
+  // The only worker sleeps in a stalled dispatch and the one queue slot
+  // is taken, so the primary's hedge falls due with nowhere to go. The
+  // supervisor must wait for a free slot rather than spin on the
+  // expired hedge timer while holding the service mutex — which would
+  // block this submit until the primary's 1.5 s deadline.
+  resilience::FaultScenario scenario;
+  scenario.stall_workers(0.0, 0.05, /*stall_s=*/0.6);
+  resilience::ServiceFaultInjector chaos(scenario);
+
+  ServiceOptions so;
+  so.num_workers = 1;
+  so.queue_capacity = 1;
+  so.retry.hedging = true;
+  so.retry.hedge_min_delay = milliseconds(20);
+  so.default_deadline = milliseconds(1500);
+  so.chaos = &chaos;
+  SolveService svc(so);
+
+  const auto a = shared_fv(10, 0.6);
+  chaos.start();
+  auto primary = svc.submit(small_request(a));
+  while (svc.stats().chaos_stalls == 0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  auto queued = svc.submit(small_request(a));
+  std::this_thread::sleep_for(milliseconds(60));  // the hedge is now due
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto rejected = svc.submit(small_request(a));
+  const auto blocked = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(blocked, milliseconds(500));
+  EXPECT_EQ(rejected->wait().outcome, RequestOutcome::kRejectedQueueFull);
+
+  // Once the stall ends the queue drains and both requests are served.
+  EXPECT_EQ(primary->wait().outcome, RequestOutcome::kSolved);
+  EXPECT_EQ(queued->wait().outcome, RequestOutcome::kSolved);
+  svc.shutdown();
+}
+
 TEST(ServiceHardening, WatchdogDisarmsWhenASiblingAlreadyAnswered) {
   // The hedge answers at ~40 ms while the primary sleeps in a stalled
   // dispatch past its stuck deadline (300 ms). The watchdog must disarm
