@@ -123,23 +123,23 @@ int main(int argc, char** argv) {
     o.matrix_name = p.name;
     o.solve.max_iters = 300;
     o.solve.tol = 1e-12;
-    SilentErrorPlan sdc;
-    sdc.at = 20;
-    sdc.magnitude = 1e9;
-    const SdcRunResult r = block_async_solve_with_sdc(p.matrix, b, o, sdc);
+    o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+        /*at=*/20, /*magnitude=*/1e9);
+    const BlockAsyncResult r = block_async_solve(p.matrix, b, o);
+    const SilentErrorReport rep = detect_silent_error(r.solve.residual_history);
     std::cout << "--- silent-error scenario (" << p.name
               << ", corruption at iteration 20) ---\n"
               << "detector: "
-              << (r.report.detected
+              << (rep.detected
                       ? "flagged at iteration " +
-                            std::to_string(r.report.at_iteration) +
+                            std::to_string(rep.at_iteration) +
                             " (residual jump " +
-                            report::fmt_sci(r.report.jump_ratio, 1) + "x)"
+                            report::fmt_sci(rep.jump_ratio, 1) + "x)"
                       : "MISSED")
               << "; solver "
-              << (r.solve.solve.ok() ? "self-healed and converged"
-                                          : "did not converge")
-              << " in " << r.solve.solve.iterations << " iterations.\n\n";
+              << (r.solve.ok() ? "self-healed and converged"
+                               : "did not converge")
+              << " in " << r.solve.iterations << " iterations.\n\n";
   }
 
   // ---- extended scenarios (resilience subsystem) ----------------------
@@ -226,39 +226,38 @@ int main(int argc, char** argv) {
   // costs only the distance back to the last checkpoint instead of the
   // full re-decay from the corrupted residual level.
   {
-    SilentErrorPlan sdc;
-    sdc.at = 20;
-    sdc.magnitude = 1e9;
     BlockAsyncOptions through_opts = solver_opts();
     through_opts.solve.tol = 1e-12;
-    const SdcRunResult through =
-        block_async_solve_with_sdc(p.matrix, b, through_opts, sdc);
+    through_opts.scenario = resilience::FaultScenario{}.corrupt_iterate(
+        /*at=*/20, /*magnitude=*/1e9);
+    const BlockAsyncResult through =
+        block_async_solve(p.matrix, b, through_opts);
     BlockAsyncOptions rollback_opts = through_opts;
     rollback_opts.resilience = resilience::Policy{};
-    const SdcRunResult rolled =
-        block_async_solve_with_sdc(p.matrix, b, rollback_opts, sdc);
+    const BlockAsyncResult rolled =
+        block_async_solve(p.matrix, b, rollback_opts);
     std::cout << "--- rollback vs run-through (" << p.name
               << ", corruption at iteration 20) ---\n"
               << "run-through: "
-              << (through.solve.solve.ok()
+              << (through.solve.ok()
                       ? "converged in " +
-                            std::to_string(through.solve.solve.iterations) +
+                            std::to_string(through.solve.iterations) +
                             " iterations"
                       : "did not converge")
               << "\n"
               << "rollback   : "
-              << (rolled.solve.solve.ok()
+              << (rolled.solve.ok()
                       ? "converged in " +
-                            std::to_string(rolled.solve.solve.iterations) +
+                            std::to_string(rolled.solve.iterations) +
                             " iterations"
                       : "did not converge")
-              << " (" << rolled.solve.resilience.detections
-              << " online detection(s), " << rolled.solve.resilience.rollbacks
-              << " rollback(s), " << rolled.solve.resilience.checkpoints_saved
+              << " (" << rolled.resilience.detections
+              << " online detection(s), " << rolled.resilience.rollbacks
+              << " rollback(s), " << rolled.resilience.checkpoints_saved
               << " checkpoints)\n";
-    if (through.solve.solve.ok() && rolled.solve.solve.ok()) {
-      std::cout << "saved " << through.solve.solve.iterations -
-                                   rolled.solve.solve.iterations
+    if (through.solve.ok() && rolled.solve.ok()) {
+      std::cout << "saved " << through.solve.iterations -
+                                   rolled.solve.iterations
                 << " global iterations by rolling back.\n";
     }
   }

@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "core/multi_gpu_solver.hpp"
+#include "core/block_async.hpp"
 
 using namespace bars;
 
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{to_string(scheme)};
     value_t t1 = 0.0, best = 1e300;
     for (index_t devices = 1; devices <= 4; ++devices) {
-      MultiGpuOptions o;
+      BlockAsyncOptions o;
       o.num_devices = devices;
       o.scheme = scheme;
       o.block_size = 448;
@@ -43,14 +43,14 @@ int main(int argc, char** argv) {
       o.solve.max_iters = 2000;
       o.solve.tol = tol;
       o.seed = 17;
-      const MultiGpuResult r = multi_gpu_block_async_solve(p.matrix, b, o);
+      const BlockAsyncResult r = block_async_solve(p.matrix, b, o);
       if (!r.solve.ok()) {
         row.push_back("n/c(" + std::to_string(r.solve.iterations) + ")");
         continue;
       }
-      if (devices == 1) t1 = r.time_to_convergence;
-      best = std::min(best, r.time_to_convergence);
-      row.push_back(report::fmt_fixed(r.time_to_convergence, 3) + " (" +
+      if (devices == 1) t1 = r.virtual_time;
+      best = std::min(best, r.virtual_time);
+      row.push_back(report::fmt_fixed(r.virtual_time, 3) + " (" +
                     report::fmt_int(r.solve.iterations) + " it)");
     }
     row.push_back(t1 > 0.0 ? report::fmt_fixed(t1 / best, 2) + "x" : "-");

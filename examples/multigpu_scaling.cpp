@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/multi_gpu_solver.hpp"
+#include "core/block_async.hpp"
 #include "matrices/generators.hpp"
 
 int main(int argc, char** argv) {
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     std::cout << to_string(scheme) << ":";
     double t1 = 0.0;
     for (index_t devices = 1; devices <= 4; ++devices) {
-      MultiGpuOptions o;
+      BlockAsyncOptions o;
       o.num_devices = devices;
       o.scheme = scheme;
       o.block_size = 448;
@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
       o.matrix_name = n == 20000 ? "Trefethen_20000" : "Trefethen_2000";
       o.solve.tol = 1e-10;
       o.solve.max_iters = 1000;
-      const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
-      if (devices == 1) t1 = r.time_to_convergence;
+      const BlockAsyncResult r = block_async_solve(a, b, o);
+      if (devices == 1) t1 = r.virtual_time;
       std::cout << "  " << devices << " GPU"
                 << (devices > 1 ? "s" : " ") << " "
-                << r.time_to_convergence << "s ("
-                << (t1 > 0 ? t1 / r.time_to_convergence : 0.0) << "x)";
+                << r.virtual_time << "s ("
+                << (t1 > 0 ? t1 / r.virtual_time : 0.0) << "x)";
     }
     std::cout << '\n';
   }

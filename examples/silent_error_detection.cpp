@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "core/block_async.hpp"
 #include "core/silent_error.hpp"
 #include "matrices/generators.hpp"
 
@@ -25,35 +26,38 @@ int main() {
   o.solve.tol = 1e-12;
 
   // Clean run: detector must stay silent.
-  const SdcRunResult clean = block_async_solve_with_sdc(a, b, o, std::nullopt);
-  std::cout << "clean run:     converged in " << clean.solve.solve.iterations
+  const BlockAsyncResult clean = block_async_solve(a, b, o);
+  const SilentErrorReport clean_report =
+      detect_silent_error(clean.solve.residual_history);
+  std::cout << "clean run:     converged in " << clean.solve.iterations
             << " iterations, detector says "
-            << (clean.report.detected ? "CORRUPTED (false positive!)"
+            << (clean_report.detected ? "CORRUPTED (false positive!)"
                                       : "healthy")
             << "\n";
 
   // Corrupted run: one component silently overwritten at iteration 12.
-  SilentErrorPlan sdc;
-  sdc.at = 12;
-  sdc.magnitude = 1.0e9;
-  const SdcRunResult bad = block_async_solve_with_sdc(a, b, o, sdc);
+  o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+      /*at=*/12, /*magnitude=*/1.0e9);
+  const BlockAsyncResult bad = block_async_solve(a, b, o);
+  const SilentErrorReport bad_report =
+      detect_silent_error(bad.solve.residual_history);
   std::cout << "corrupted run: "
-            << (bad.solve.solve.ok() ? "converged (self-healed)"
-                                          : "did not converge")
-            << " in " << bad.solve.solve.iterations << " iterations\n";
-  if (bad.report.detected) {
+            << (bad.solve.ok() ? "converged (self-healed)"
+                               : "did not converge")
+            << " in " << bad.solve.iterations << " iterations\n";
+  if (bad_report.detected) {
     std::cout << "detector:      silent error flagged at global iteration "
-              << bad.report.at_iteration << " (residual jumped "
-              << bad.report.jump_ratio << "x)\n";
+              << bad_report.at_iteration << " (residual jumped "
+              << bad_report.jump_ratio << "x)\n";
   } else {
     std::cout << "detector:      MISSED the corruption\n";
   }
   std::cout << "\nThe asynchronous method pays only a time penalty ("
-            << bad.solve.solve.iterations - clean.solve.solve.iterations
+            << bad.solve.iterations - clean.solve.iterations
             << " extra iterations) and needs no checkpoint/restart —\nthe "
                "paper's exascale-resilience argument, Section 4.5.\n";
-  return clean.solve.solve.ok() && !clean.report.detected &&
-                 bad.solve.solve.ok() && bad.report.detected
+  return clean.solve.ok() && !clean_report.detected && bad.solve.ok() &&
+                 bad_report.detected
              ? 0
              : 1;
 }

@@ -38,11 +38,17 @@ namespace {
 inline __m256d gather_fnmadd(const std::int32_t* cols, const value_t* vals,
                              const value_t* source, index_t begin,
                              index_t end, __m256d acc) {
+  // The masked form of the same vgatherdpd with every lane enabled and
+  // a zeroed pass-through source: gcc's unmasked _mm256_i32gather_pd
+  // leaves its pass-through operand uninitialized, which trips
+  // -Wmaybe-uninitialized.
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   for (index_t k = begin; k < end; ++k) {
     const __m128i idx = _mm_loadu_si128(
         reinterpret_cast<const __m128i*>(cols + 4 * k));
     const __m256d v = _mm256_loadu_pd(vals + 4 * k);
-    const __m256d g = _mm256_i32gather_pd(source, idx, 8);
+    const __m256d g = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), source,
+                                               idx, all_lanes, 8);
     acc = _mm256_fnmadd_pd(v, g, acc);
   }
   return acc;

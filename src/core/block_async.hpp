@@ -13,6 +13,9 @@
 /// The paper's primary contribution: async-(local_iters) — the
 /// block-asynchronous relaxation method of Section 3.3, executed on the
 /// simulated GPU (gpusim::AsyncExecutor) with virtual-time bookkeeping.
+/// The same front-end runs the multi-GPU iteration of Sections 3.4 and
+/// 4.6 (num_devices + a transfer scheme) and, through a FaultScenario,
+/// every injected fault including silent iterate corruption.
 
 namespace bars {
 
@@ -46,6 +49,7 @@ struct BlockAsyncOptions {
   std::string backend = "scalar";
 
   gpusim::SchedulePolicy policy = gpusim::SchedulePolicy::kJittered;
+  /// Multiprocessors per device (C2070: 14).
   index_t concurrent_slots = 14;
   value_t jitter = 0.20;
   value_t straggler_prob = 0.05;
@@ -55,9 +59,20 @@ struct BlockAsyncOptions {
   std::optional<std::uint64_t> pattern_seed{};
   value_t run_noise = 2.0e-3;
 
+  /// Device layout (paper Sections 3.4 and 4.6): the blocks are split
+  /// contiguously across 1..8 simulated GPUs, and more than one device
+  /// needs a transfer scheme (AMC / DC / DK). kNone is the single-GPU
+  /// iteration. The bounded shift is derived, not set: a block may run
+  /// 4 generations ahead of its device's slowest block under a transfer
+  /// scheme (the Fig. 11 calibration) and 2 under kNone.
+  index_t num_devices = 1;
+  gpusim::TransferScheme scheme = gpusim::TransferScheme::kNone;
+  gpusim::TransferParams transfer{};
+
   /// Fault timeline (resilience subsystem): the paper's Section 4.5
   /// failure (FaultScenario::fail_components), multiple failure waves,
-  /// transient halo corruption, ...
+  /// transient halo corruption, silent iterate corruption
+  /// (FaultScenario::corrupt_iterate), device dropout, link failures.
   std::optional<resilience::FaultScenario> scenario{};
   /// Active recovery: checkpoint/rollback, online SDC detection,
   /// watchdog supervision (see docs/RESILIENCE.md).
@@ -85,6 +100,12 @@ struct BlockAsyncResult {
   index_t max_staleness = 0;
   /// Resilience activity (all-zero for plain runs).
   resilience::Report resilience;
+  /// Simulated seconds at stop: the time-to-convergence of Fig. 11.
+  value_t virtual_time = 0.0;
+  /// Transfer-scheme traffic (zero under kNone).
+  value_t bytes_host_device = 0.0;
+  value_t bytes_device_device = 0.0;
+  index_t num_transfers = 0;
 };
 
 /// Solve A x = b with async-(local_iters). Residual history entries are

@@ -168,6 +168,7 @@ NonlinearAsyncResult nonlinear_block_async_solve(
   exec.stopping.max_global_iters = opts.solve.max_iters;
   exec.stopping.tol = opts.solve.tol;
   exec.stopping.divergence_limit = opts.solve.divergence_limit;
+  exec.stopping.cancel = opts.solve.cancel;
   exec.telemetry = opts.solve.telemetry;
   exec.concurrent_slots = opts.concurrent_slots;
   exec.policy = opts.policy;
@@ -226,6 +227,10 @@ SolveResult nonlinear_jacobi_solve(const Csr& a, const Vector& b,
     }
     if (!std::isfinite(rel) || rel > opts.divergence_limit) {
       res.status = SolverStatus::kDiverged;
+      break;
+    }
+    if (common::cancel_requested(opts.cancel)) {
+      res.status = SolverStatus::kAborted;
       break;
     }
     a.spmv(res.x, ax);

@@ -1,31 +1,21 @@
 #pragma once
 
-#include <optional>
+#include <vector>
 
-#include "core/block_async.hpp"
-#include "core/solver_types.hpp"
 #include "resilience/recovery.hpp"
+#include "sparse/types.hpp"
 
 /// \file silent_error.hpp
 /// Silent-error (SDC) injection and detection — the closing thought of
 /// the paper's Section 4.5: "a convergence delay or non-converging
 /// sequence of solution approximations indicates that a silent error
 /// has occurred ... asynchronous methods can be used to detect silent
-/// errors." We inject bit-flip-style corruptions into the iterate and
-/// detect them from the residual history alone.
+/// errors." A bit-flip-style corruption is injected into the iterate by
+/// a FaultScenario event (FaultScenario::corrupt_iterate, run through
+/// block_async_solve) and detected here from the residual history
+/// alone.
 
 namespace bars {
-
-/// A silent corruption: at global iteration `at`, component `component`
-/// is overwritten with `magnitude` (no error signal — the solver only
-/// sees its effect on the residual). component < 0 picks a
-/// seed-dependent component.
-struct SilentErrorPlan {
-  index_t at = 10;
-  index_t component = -1;
-  value_t magnitude = 1.0e6;
-  std::uint64_t seed = 4321;
-};
 
 /// Residual-history anomaly detector. A healthy relaxation run
 /// contracts every iteration by roughly its asymptotic factor; a silent
@@ -69,16 +59,5 @@ struct DetectorOptions {
 /// DetectorOptions -> the resilience layer's equivalent.
 [[nodiscard]] resilience::AnomalyOptions to_anomaly_options(
     const DetectorOptions& opts);
-
-/// Run async-(k) with a silent corruption injected, returning the
-/// solver result plus the detector's verdict on its residual history.
-struct SdcRunResult {
-  BlockAsyncResult solve;
-  SilentErrorReport report;
-};
-
-[[nodiscard]] SdcRunResult block_async_solve_with_sdc(
-    const Csr& a, const Vector& b, const BlockAsyncOptions& opts,
-    const std::optional<SilentErrorPlan>& sdc);
 
 }  // namespace bars

@@ -548,6 +548,12 @@ ExecutorResult AsyncExecutor::run(
     }
     if (total_writes % q == 0) {
       ++global_iter;
+      if (timeline) {
+        // A silent corruption strikes before the boundary's residual,
+        // in the canonical iterate and in every device's view.
+        timeline->corrupt_iterate(global_iter, x);
+        for (Vector& v : views) timeline->corrupt_iterate(global_iter, v);
+      }
       const index_t mutations_before = monitor.iterate_mutations();
       const StopVerdict verdict = monitor.on_global_iteration(
           global_iter, now, x, residual_fn, write_generation);

@@ -89,7 +89,7 @@ struct ExecutorOptions {
   /// more than this many generations ahead of the slowest block on its
   /// device. The GPU's greedy block scheduler provides the same
   /// guarantee because every queued block eventually gets a
-  /// multiprocessor. The multi-GPU front-end sets 4.
+  /// multiprocessor. block_async_solve sets 4 under a transfer scheme.
   index_t max_generation_skew = 2;
   /// Point within a block's execution at which the halo is read, as a
   /// fraction of the execution duration. 0 = most pessimistic (read at

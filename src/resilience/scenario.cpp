@@ -1,6 +1,7 @@
 #include "resilience/scenario.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace bars::resilience {
 
@@ -54,6 +55,19 @@ FaultScenario& FaultScenario::fail_link(index_t at, index_t device,
   return *this;
 }
 
+FaultScenario& FaultScenario::corrupt_iterate(index_t at, value_t magnitude,
+                                              index_t component,
+                                              std::uint64_t seed) {
+  FaultEvent e;
+  e.kind = FaultKind::kIterateCorruption;
+  e.at = at;
+  e.magnitude = magnitude;
+  e.component = component;
+  e.seed = seed;
+  events.push_back(e);
+  return *this;
+}
+
 FaultScenario& FaultScenario::stall_workers(double at_s, double duration_s,
                                             double stall_s) {
   ServiceFaultEvent e;
@@ -101,7 +115,17 @@ ScenarioTimeline::ScenarioTimeline(FaultScenario scenario, index_t num_rows,
                                    index_t num_devices)
     : n_(num_rows), num_devices_(num_devices) {
   states_.reserve(scenario.events.size());
-  for (const FaultEvent& e : scenario.events) states_.emplace_back(e);
+  for (const FaultEvent& e : scenario.events) {
+    EventState& s = states_.emplace_back(e);
+    if (e.kind != FaultKind::kIterateCorruption) continue;
+    if (e.at < 1) {
+      throw std::invalid_argument("corrupt_iterate: at must be >= 1");
+    }
+    if (e.component >= num_rows || num_rows == 0) {
+      throw std::invalid_argument("corrupt_iterate: component out of range");
+    }
+    if (e.component < 0) s.event.component = s.rng.uniform_int(0, n_ - 1);
+  }
 }
 
 void ScenarioTimeline::advance(index_t k) {
@@ -181,6 +205,14 @@ void ScenarioTimeline::maybe_corrupt_halo(Vector& snapshot) {
           0, static_cast<index_t>(snapshot.size()) - 1));
       snapshot[at] = s.event.magnitude;
       ++corruptions_;
+    }
+  }
+}
+
+void ScenarioTimeline::corrupt_iterate(index_t k, Vector& x) const {
+  for (const EventState& s : states_) {
+    if (s.event.kind == FaultKind::kIterateCorruption && s.event.at == k) {
+      x[static_cast<std::size_t>(s.event.component)] = s.event.magnitude;
     }
   }
 }

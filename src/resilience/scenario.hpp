@@ -36,6 +36,13 @@ enum class FaultKind {
   /// iterations; sweep-end transfers are retried with exponential
   /// backoff and accounted in the resilience report.
   kLinkFailure,
+  /// Silent data corruption (the idea that closes Section 4.5): at
+  /// global-iteration boundary `at`, before that boundary's residual
+  /// is taken, x[component] is overwritten with `magnitude` — in the
+  /// canonical iterate and in every device's view of it. Nothing
+  /// signals the error; the solver sees only its effect on the
+  /// residual (see core/silent_error.hpp for the detector).
+  kIterateCorruption,
 };
 
 /// Service-level failure classes — faults against the *serving* layer
@@ -80,10 +87,13 @@ struct FaultEvent {
   /// paper's "no recovery" curve).
   std::optional<index_t> duration{};
   value_t fraction = 0.25;     ///< kComponentFailure: share of components
-  value_t magnitude = 1.0e6;   ///< kHaloCorruption: value written
+  value_t magnitude = 1.0e6;   ///< kHaloCorruption / kIterateCorruption
+  /// kIterateCorruption: the overwritten component; < 0 picks one from
+  /// `seed` when the timeline is built.
+  index_t component = -1;
   value_t probability = 0.05;  ///< kHaloCorruption: chance per halo read
   index_t device = 1;          ///< kDeviceDropout / kLinkFailure target
-  std::uint64_t seed = 1234;   ///< which components / which reads
+  std::uint64_t seed = 1234;   ///< which components / reads / component
 };
 
 /// A fault script: an ordered list of events (order is cosmetic; each
@@ -91,7 +101,8 @@ struct FaultEvent {
 ///
 ///   FaultScenario s;
 ///   s.fail_components(10, 0.25, 20).fail_components(40, 0.10, 20)
-///    .corrupt_halo(15, 5, 1e4).drop_device(8, /*device=*/1, 12);
+///    .corrupt_halo(15, 5, 1e4).drop_device(8, /*device=*/1, 12)
+///    .corrupt_iterate(25, 1e9);
 struct FaultScenario {
   std::vector<FaultEvent> events;
   /// Service-level faults (wall-clock domain). One scenario can carry
@@ -110,6 +121,9 @@ struct FaultScenario {
   FaultScenario& drop_device(index_t at, index_t device,
                              std::optional<index_t> rejoin_after = {});
   FaultScenario& fail_link(index_t at, index_t device, index_t duration);
+  FaultScenario& corrupt_iterate(index_t at, value_t magnitude,
+                                 index_t component = -1,
+                                 std::uint64_t seed = 4321);
 
   /// Service-level builders (seconds on the injector's wall clock).
   FaultScenario& stall_workers(double at_s, double duration_s,
@@ -136,6 +150,9 @@ struct FaultScenario {
 /// reassignment (never observed).
 class ScenarioTimeline {
  public:
+  /// Throws std::invalid_argument for an iterate corruption at a
+  /// boundary before 1 (boundary 0 is the initial residual) or at a
+  /// component outside [0, num_rows).
   ScenarioTimeline(FaultScenario scenario, index_t num_rows,
                    index_t num_devices = 1);
 
@@ -157,6 +174,10 @@ class ScenarioTimeline {
   /// events (at most one entry per event per call).
   void maybe_corrupt_halo(Vector& snapshot);
   [[nodiscard]] index_t halo_corruptions() const { return corruptions_; }
+
+  /// Apply the iterate corruptions due at global-iteration boundary
+  /// `k` to `x` (the executor calls it for x and each device view).
+  void corrupt_iterate(index_t k, Vector& x) const;
 
   [[nodiscard]] bool device_down(index_t device) const;
   [[nodiscard]] bool link_down(index_t device) const;

@@ -5,6 +5,7 @@
 
 #include "backend/registry.hpp"
 #include "service/fingerprint.hpp"
+#include "sparse/partition.hpp"
 
 namespace bars::service {
 
@@ -71,15 +72,14 @@ std::shared_ptr<SolvePlan> PlanCache::acquire(const Csr& a,
     plan->kernel_error = inject_failure;
   } else {
     plan->matrix = a;
-    plan->partition = RowPartition::uniform(a.rows(), config.block_size);
-    plan->owner_table = plan->partition.owner_table();
     plan->seed_rhs.assign(static_cast<std::size_t>(a.rows()), 0.0);
+    RowPartition partition = RowPartition::uniform(a.rows(), config.block_size);
     try {
       // Unknown backend names throw std::invalid_argument here and
       // become negative entries like any other construction failure.
       plan->kernel =
           backend::build_kernel(config.backend, plan->matrix, plan->seed_rhs,
-                                plan->partition, {config.local_iters});
+                                std::move(partition), {config.local_iters});
     } catch (const std::exception& e) {
       plan->kernel = nullptr;
       plan->kernel_error = e.what();

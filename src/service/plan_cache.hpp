@@ -11,17 +11,16 @@
 #include "backend/kernel_backend.hpp"
 #include "common/annotations.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/partition.hpp"
 
 /// \file plan_cache.hpp
 /// The solve-plan cache: amortizes per-matrix setup across requests.
 ///
 /// A *plan* is everything a block-async solve computes before its first
 /// global iteration that depends only on the matrix and the partition
-/// config — never on the right-hand side: the row partition, the dense
-/// owner table, the per-block halo lists / local-global splits /
-/// diagonal factors (all inside the backend's BlockSweepKernel), and
-/// the kernel's construction-sized scratch arenas.
+/// config — never on the right-hand side: the row partition, the
+/// per-block halo lists / local-global splits / diagonal factors (all
+/// inside the backend's BlockSweepKernel), and the kernel's
+/// construction-sized scratch arenas.
 /// BlockSweepKernel::set_rhs repoints the RHS without rebuilding any of
 /// it, which is what makes one plan serve many requests and multi-RHS
 /// batches.
@@ -58,8 +57,6 @@ struct SolvePlan {
   /// batch riding on it) never dangles when the submitter's matrix
   /// goes away.
   Csr matrix;
-  RowPartition partition;
-  std::vector<index_t> owner_table;
   /// Zero vector the kernel is bound to at construction; every request
   /// repoints the kernel at its own RHS via set_rhs(). Also reused as
   /// the default initial guess (x0 = 0) without reallocating.

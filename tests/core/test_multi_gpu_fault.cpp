@@ -4,14 +4,14 @@
 
 #include <gtest/gtest.h>
 
-#include "core/multi_gpu_solver.hpp"
+#include "core/block_async.hpp"
 #include "matrices/generators.hpp"
 
 namespace bars {
 namespace {
 
-MultiGpuOptions base(index_t devices, gpusim::TransferScheme scheme) {
-  MultiGpuOptions o;
+BlockAsyncOptions base(index_t devices, gpusim::TransferScheme scheme) {
+  BlockAsyncOptions o;
   o.num_devices = devices;
   o.scheme = scheme;
   o.block_size = 32;
@@ -25,10 +25,10 @@ MultiGpuOptions base(index_t devices, gpusim::TransferScheme scheme) {
 TEST(MultiGpuFault, NoRecoveryStagnatesOnTwoDevices) {
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  MultiGpuOptions o = base(2, gpusim::TransferScheme::kAMC);
+  BlockAsyncOptions o = base(2, gpusim::TransferScheme::kAMC);
   o.scenario = resilience::FaultScenario{}.fail_components(
       /*at=*/5, /*fraction=*/0.25, /*recover_after=*/std::nullopt);
-  const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
   EXPECT_FALSE(r.solve.ok());
   EXPECT_GT(r.solve.final_residual, 1e-8);
 }
@@ -39,10 +39,10 @@ TEST(MultiGpuFault, RecoveryRestoresConvergenceAcrossSchemes) {
   for (auto scheme :
        {gpusim::TransferScheme::kAMC, gpusim::TransferScheme::kDC,
         gpusim::TransferScheme::kDK}) {
-    MultiGpuOptions o = base(3, scheme);
+    BlockAsyncOptions o = base(3, scheme);
     o.scenario = resilience::FaultScenario{}.fail_components(
         /*at=*/5, /*fraction=*/0.25, /*recover_after=*/10);
-    const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
+    const BlockAsyncResult r = block_async_solve(a, b, o);
     EXPECT_TRUE(r.solve.ok()) << to_string(scheme);
   }
 }
@@ -50,12 +50,12 @@ TEST(MultiGpuFault, RecoveryRestoresConvergenceAcrossSchemes) {
 TEST(MultiGpuFault, RecoveredSolutionMatchesCleanRun) {
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  MultiGpuOptions clean = base(2, gpusim::TransferScheme::kAMC);
-  const MultiGpuResult rc = multi_gpu_block_async_solve(a, b, clean);
-  MultiGpuOptions faulty = clean;
+  BlockAsyncOptions clean = base(2, gpusim::TransferScheme::kAMC);
+  const BlockAsyncResult rc = block_async_solve(a, b, clean);
+  BlockAsyncOptions faulty = clean;
   faulty.scenario = resilience::FaultScenario{}.fail_components(
       /*at=*/4, /*fraction=*/0.3, /*recover_after=*/8);
-  const MultiGpuResult rf = multi_gpu_block_async_solve(a, b, faulty);
+  const BlockAsyncResult rf = block_async_solve(a, b, faulty);
   ASSERT_TRUE(rc.solve.ok());
   ASSERT_TRUE(rf.solve.ok());
   for (std::size_t i = 0; i < rc.solve.x.size(); ++i) {
@@ -66,12 +66,12 @@ TEST(MultiGpuFault, RecoveredSolutionMatchesCleanRun) {
 TEST(MultiGpuFault, FaultDelaysConvergence) {
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  MultiGpuOptions clean = base(2, gpusim::TransferScheme::kAMC);
-  const MultiGpuResult rc = multi_gpu_block_async_solve(a, b, clean);
-  MultiGpuOptions faulty = clean;
+  BlockAsyncOptions clean = base(2, gpusim::TransferScheme::kAMC);
+  const BlockAsyncResult rc = block_async_solve(a, b, clean);
+  BlockAsyncOptions faulty = clean;
   faulty.scenario = resilience::FaultScenario{}.fail_components(
       /*at=*/4, /*fraction=*/0.3, /*recover_after=*/12);
-  const MultiGpuResult rf = multi_gpu_block_async_solve(a, b, faulty);
+  const BlockAsyncResult rf = block_async_solve(a, b, faulty);
   ASSERT_TRUE(rc.solve.ok());
   ASSERT_TRUE(rf.solve.ok());
   EXPECT_GT(rf.solve.iterations, rc.solve.iterations);
@@ -83,11 +83,11 @@ TEST(MultiGpuFault, DeviceDropoutConvergesAfterRejoin) {
   // the solve converges regardless.
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  MultiGpuOptions o = base(2, gpusim::TransferScheme::kAMC);
+  BlockAsyncOptions o = base(2, gpusim::TransferScheme::kAMC);
   resilience::FaultScenario s;
   s.drop_device(/*at=*/5, /*device=*/1, /*rejoin_after=*/10);
   o.scenario = s;
-  const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
   EXPECT_TRUE(r.solve.ok());
 }
 
@@ -96,12 +96,12 @@ TEST(MultiGpuFault, PermanentDeviceDropoutStagnates) {
   // again, so the residual stalls above tolerance.
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  MultiGpuOptions o = base(2, gpusim::TransferScheme::kAMC);
+  BlockAsyncOptions o = base(2, gpusim::TransferScheme::kAMC);
   o.solve.max_iters = 200;
   resilience::FaultScenario s;
   s.drop_device(5, 1, /*rejoin_after=*/std::nullopt);
   o.scenario = s;
-  const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
   EXPECT_FALSE(r.solve.ok());
   EXPECT_GT(r.solve.final_residual, 1e-8);
 }
@@ -111,11 +111,11 @@ TEST(MultiGpuFault, LinkFailureRetriesThenConverges) {
   // converges once the link heals; the retries are accounted for.
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  MultiGpuOptions o = base(2, gpusim::TransferScheme::kAMC);
+  BlockAsyncOptions o = base(2, gpusim::TransferScheme::kAMC);
   resilience::FaultScenario s;
   s.fail_link(/*at=*/5, /*device=*/1, /*duration=*/10);
   o.scenario = s;
-  const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
   EXPECT_TRUE(r.solve.ok());
   EXPECT_GT(r.resilience.transfer_retries, 0);
 }
@@ -125,12 +125,12 @@ TEST(MultiGpuFault, DropoutWithRecoveryPolicyReportsActivity) {
   // the checkpoint trail.
   const Csr a = fv_like(12, 0.6);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  MultiGpuOptions o = base(2, gpusim::TransferScheme::kDC);
+  BlockAsyncOptions o = base(2, gpusim::TransferScheme::kDC);
   resilience::FaultScenario s;
   s.drop_device(5, 1, 10);
   o.scenario = s;
   o.resilience = resilience::Policy{};
-  const MultiGpuResult r = multi_gpu_block_async_solve(a, b, o);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
   EXPECT_TRUE(r.solve.ok());
   EXPECT_GT(r.resilience.checkpoints_saved, 0);
 }

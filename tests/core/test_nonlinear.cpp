@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/cancel.hpp"
 #include "core/jacobi.hpp"
 #include "matrices/generators.hpp"
 
@@ -130,6 +131,33 @@ TEST(NonlinearAsync, RejectsBadArguments) {
   EXPECT_THROW((void)nonlinear_jacobi_solve(a, b, zero_nonlinearity(), {},
                                             /*damping=*/1.5),
                std::invalid_argument);
+}
+
+TEST(NonlinearJacobi, PreTrippedTokenAborts) {
+  const Csr a = fv_like(8, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  common::CancelToken token;
+  token.request_cancel();
+  SolveOptions o;
+  o.cancel = &token;
+  const SolveResult r =
+      nonlinear_jacobi_solve(a, b, cubic_nonlinearity(0.5), o);
+  EXPECT_EQ(r.status, SolverStatus::kAborted);
+  EXPECT_EQ(r.iterations, 0);
+}
+
+TEST(NonlinearAsync, PreTrippedTokenAborts) {
+  const Csr a = fv_like(8, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  common::CancelToken token;
+  token.request_cancel();
+  NonlinearAsyncOptions o;
+  o.block_size = 16;
+  o.solve.cancel = &token;
+  const NonlinearAsyncResult r =
+      nonlinear_block_async_solve(a, b, cubic_nonlinearity(0.5), o);
+  EXPECT_EQ(r.solve.status, SolverStatus::kAborted);
+  EXPECT_EQ(r.solve.iterations, 1);
 }
 
 }  // namespace

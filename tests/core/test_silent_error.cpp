@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "common/cancel.hpp"
+#include "core/block_async.hpp"
 #include "eigen/power_iteration.hpp"
 #include "matrices/generators.hpp"
 #include "stats/convergence.hpp"
@@ -97,34 +99,50 @@ TEST(Detector, NonPositiveSamplesSkippedNotFlagged) {
   EXPECT_FALSE(detect_silent_error(h).detected);
 }
 
-TEST(SdcRun, CleanRunNotFlaggedAndConverges) {
-  const Csr a = fv_like(16, 0.5);
-  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+BlockAsyncOptions sdc_options() {
   BlockAsyncOptions o;
   o.block_size = 64;
   o.local_iters = 5;
   o.solve.max_iters = 500;
   o.solve.tol = 1e-12;
-  const SdcRunResult r = block_async_solve_with_sdc(a, b, o, std::nullopt);
-  EXPECT_TRUE(r.solve.solve.ok());
-  EXPECT_FALSE(r.report.detected);
+  return o;
+}
+
+TEST(SdcRun, CleanRunNotFlaggedAndConverges) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  const BlockAsyncResult r = block_async_solve(a, b, sdc_options());
+  EXPECT_TRUE(r.solve.ok());
+  EXPECT_FALSE(detect_silent_error(r.solve.residual_history).detected);
 }
 
 TEST(SdcRun, CorruptionDetectedAsJump) {
   const Csr a = fv_like(16, 0.5);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  BlockAsyncOptions o;
-  o.block_size = 64;
-  o.local_iters = 5;
-  o.solve.max_iters = 500;
-  o.solve.tol = 1e-12;
-  SilentErrorPlan sdc;
-  sdc.at = 8;
-  sdc.magnitude = 1e8;
-  const SdcRunResult r = block_async_solve_with_sdc(a, b, o, sdc);
-  ASSERT_TRUE(r.report.detected);
-  EXPECT_NEAR(static_cast<double>(r.report.at_iteration), 9.0, 2.0);
-  EXPECT_GT(r.report.jump_ratio, 100.0);
+  BlockAsyncOptions o = sdc_options();
+  o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+      /*at=*/8, /*magnitude=*/1e8);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
+  const SilentErrorReport rep = detect_silent_error(r.solve.residual_history);
+  ASSERT_TRUE(rep.detected);
+  EXPECT_NEAR(static_cast<double>(rep.at_iteration), 9.0, 2.0);
+  EXPECT_GT(rep.jump_ratio, 100.0);
+}
+
+TEST(SdcRun, CorruptionLandsBeforeTheBoundaryResidual) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  const BlockAsyncResult clean = block_async_solve(a, b, sdc_options());
+  BlockAsyncOptions o = sdc_options();
+  o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+      /*at=*/8, /*magnitude=*/1e8);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
+  ASSERT_GT(r.solve.residual_history.size(), 9U);
+  for (std::size_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(r.solve.residual_history[k], clean.solve.residual_history[k]);
+  }
+  EXPECT_GT(r.solve.residual_history[8],
+            1e3 * clean.solve.residual_history[8]);
 }
 
 TEST(SdcRun, SolverHealsAfterCorruption) {
@@ -133,26 +151,91 @@ TEST(SdcRun, SolverHealsAfterCorruption) {
   // (this is *why* silent errors need detection — they only cost time).
   const Csr a = fv_like(16, 0.5);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  BlockAsyncOptions o;
-  o.block_size = 64;
-  o.local_iters = 5;
+  BlockAsyncOptions o = sdc_options();
   o.solve.max_iters = 1000;
-  o.solve.tol = 1e-12;
-  SilentErrorPlan sdc;
-  sdc.at = 8;
-  sdc.magnitude = 1e8;
-  const SdcRunResult r = block_async_solve_with_sdc(a, b, o, sdc);
-  EXPECT_TRUE(r.solve.solve.ok());
-  EXPECT_LE(relative_residual(a, b, r.solve.solve.x), 1e-11);
+  o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+      /*at=*/8, /*magnitude=*/1e8);
+  const BlockAsyncResult r = block_async_solve(a, b, o);
+  EXPECT_TRUE(r.solve.ok());
+  EXPECT_LE(relative_residual(a, b, r.solve.x), 1e-11);
 }
 
 TEST(SdcRun, RejectsBadComponent) {
   const Csr a = poisson1d(8);
   const Vector b(8, 1.0);
-  SilentErrorPlan sdc;
-  sdc.component = 99;
-  EXPECT_THROW((void)block_async_solve_with_sdc(a, b, {}, sdc),
+  BlockAsyncOptions o;
+  o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+      /*at=*/10, /*magnitude=*/1e6, /*component=*/99);
+  EXPECT_THROW((void)block_async_solve(a, b, o), std::invalid_argument);
+  EXPECT_THROW((void)resilience::ScenarioTimeline(*o.scenario, 8),
                std::invalid_argument);
+  EXPECT_NO_THROW((void)resilience::ScenarioTimeline(
+      resilience::FaultScenario{}.corrupt_iterate(10, 1e6, 7), 8));
+}
+
+TEST(SdcRun, RejectsCorruptionBeforeTheFirstBoundary) {
+  // Boundary 0 is the initial residual, taken before any block runs.
+  EXPECT_THROW((void)resilience::ScenarioTimeline(
+                   resilience::FaultScenario{}.corrupt_iterate(0, 1e6), 8),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)resilience::ScenarioTimeline(
+      resilience::FaultScenario{}.corrupt_iterate(1, 1e6), 8));
+}
+
+TEST(SdcRun, HonoursCancelAndInitialGuess) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  BlockAsyncOptions o = sdc_options();
+  o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+      /*at=*/8, /*magnitude=*/1e8);
+
+  common::CancelToken token;
+  token.request_cancel();
+  BlockAsyncOptions cancelled = o;
+  cancelled.solve.cancel = &token;
+  const BlockAsyncResult c = block_async_solve(a, b, cancelled);
+  EXPECT_EQ(c.solve.status, SolverStatus::kAborted);
+  EXPECT_EQ(c.solve.iterations, 1);
+
+  // Started from a converged iterate, the run converges before the
+  // corruption's boundary comes.
+  const BlockAsyncResult clean = block_async_solve(a, b, sdc_options());
+  ASSERT_TRUE(clean.solve.ok());
+  const BlockAsyncResult warm = block_async_solve(a, b, o, &clean.solve.x);
+  EXPECT_EQ(warm.solve.residual_history.front(),
+            relative_residual(a, b, clean.solve.x));
+  EXPECT_TRUE(warm.solve.ok());
+  EXPECT_LT(warm.solve.iterations, 8);
+}
+
+TEST(SdcRun, CorruptsEveryDeviceView) {
+  // On a device layout the corruption hits the canonical iterate and
+  // every device's view. Under AMC each device computes on its own
+  // view, so a corruption of x alone would vanish at the owner's next
+  // commit; in the views it spreads, and the residual stays high.
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  for (auto scheme :
+       {gpusim::TransferScheme::kAMC, gpusim::TransferScheme::kDC,
+        gpusim::TransferScheme::kDK}) {
+    BlockAsyncOptions o = sdc_options();
+    o.solve.max_iters = 1000;
+    o.num_devices = 2;
+    o.scheme = scheme;
+    const BlockAsyncResult clean = block_async_solve(a, b, o);
+    o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+        /*at=*/8, /*magnitude=*/1e8, /*component=*/a.rows() - 1);
+    const BlockAsyncResult r = block_async_solve(a, b, o);
+    ASSERT_TRUE(clean.solve.ok()) << to_string(scheme);
+    ASSERT_TRUE(r.solve.ok()) << to_string(scheme);
+    ASSERT_GT(r.solve.residual_history.size(), 11U);
+    for (std::size_t k = 8; k <= 11; ++k) {
+      EXPECT_GT(r.solve.residual_history[k],
+                1e3 * clean.solve.residual_history[k])
+          << to_string(scheme) << " at boundary " << k;
+    }
+    EXPECT_GT(r.solve.iterations, clean.solve.iterations);
+  }
 }
 
 TEST(AsyncRateBound, MeasuredRateBeatsWorstCase) {

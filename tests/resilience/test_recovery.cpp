@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/block_async.hpp"
 #include "core/silent_error.hpp"
 #include "matrices/generators.hpp"
 
@@ -217,22 +218,22 @@ TEST(Recovery, SdcRollbackConvergesFasterThanRunThrough) {
   // run-through baseline that relaxes the corruption away.
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  SilentErrorPlan sdc;
-  sdc.at = 12;
-  sdc.magnitude = 1.0e6;
-
-  const auto through = block_async_solve_with_sdc(a, b, base_options(), sdc);
-  ASSERT_TRUE(through.solve.solve.ok());
-  ASSERT_TRUE(through.report.detected);  // post-hoc batch scan sees it
-
   BlockAsyncOptions o = base_options();
+  o.scenario = resilience::FaultScenario{}.corrupt_iterate(
+      /*at=*/12, /*magnitude=*/1.0e6);
+
+  const auto through = block_async_solve(a, b, o);
+  ASSERT_TRUE(through.solve.ok());
+  // The post-hoc batch scan sees it.
+  ASSERT_TRUE(detect_silent_error(through.solve.residual_history).detected);
+
   o.resilience = resilience::Policy{};
-  const auto rolled = block_async_solve_with_sdc(a, b, o, sdc);
-  ASSERT_TRUE(rolled.solve.solve.ok());
-  EXPECT_GE(rolled.solve.resilience.detections, 1);
-  EXPECT_GE(rolled.solve.resilience.rollbacks, 1);
-  EXPECT_GT(rolled.solve.resilience.checkpoints_saved, 0);
-  EXPECT_LT(rolled.solve.solve.iterations, through.solve.solve.iterations);
+  const auto rolled = block_async_solve(a, b, o);
+  ASSERT_TRUE(rolled.solve.ok());
+  EXPECT_GE(rolled.resilience.detections, 1);
+  EXPECT_GE(rolled.resilience.rollbacks, 1);
+  EXPECT_GT(rolled.resilience.checkpoints_saved, 0);
+  EXPECT_LT(rolled.solve.iterations, through.solve.iterations);
 }
 
 TEST(Recovery, WatchdogReassignsPermanentlyFailedComponents) {

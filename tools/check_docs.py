@@ -56,7 +56,6 @@ PREAMBLE = """\
 #include "core/block_async.hpp"
 #include "core/cg.hpp"
 #include "core/fcg.hpp"
-#include "core/multi_gpu_solver.hpp"
 #include "core/registry.hpp"
 #include "core/thread_async.hpp"
 #include "gpusim/trace.hpp"
