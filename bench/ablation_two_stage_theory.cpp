@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     o.local_iters = k;
     o.solve.max_iters = 400;
     o.solve.tol = 0.0;
+    o.exact_history = true;  // the contraction fit reads the history
     const BlockAsyncResult r = block_async_solve(a, b, o);
     const value_t measured =
         contraction_factor(r.solve.residual_history, 100);

@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
       o.matrix_name = p.name;
       o.scenario = s.faults;
       o.seed = 31;
+      o.exact_history = true;  // the figure plots every history entry
       o.solve.max_iters = 4 * max_iters;
       o.solve.tol = 1e-14;
       const BlockAsyncResult r = block_async_solve(p.matrix, b, o);
@@ -152,6 +153,7 @@ int main(int argc, char** argv) {
     o.local_iters = 5;
     o.matrix_name = p.name;
     o.seed = 31;
+    o.exact_history = true;  // detection and reports read the history
     o.solve.max_iters = 400;
     o.solve.tol = 1e-14;
     return o;

@@ -30,6 +30,7 @@ void study(const TestProblem& p, index_t runs,
     o.local_iters = 5;
     o.seed = 1000 + static_cast<std::uint64_t>(run);
     o.matrix_name = p.name;
+    o.exact_history = true;  // the figure reads every history entry
     // The paper's Section 4.1 hypothesizes the GPU scheduler repeats a
     // pattern, so run-to-run differences are tiny perturbations of a
     // common schedule — model exactly that: one shared pattern seed,

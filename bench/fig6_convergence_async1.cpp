@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
     ao.block_size = 448;  // paper Section 3.2
     ao.local_iters = 1;
     ao.matrix_name = p.name;
+    ao.exact_history = true;  // the figure plots every history entry
     const BlockAsyncResult as = block_async_solve(p.matrix, b, ao);
 
     std::cout << "--- " << p.name << " ---\n";

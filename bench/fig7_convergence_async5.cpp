@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
     ao.block_size = 448;
     ao.local_iters = 5;
     ao.matrix_name = p.name;
+    ao.exact_history = true;  // the figure plots every history entry
     const BlockAsyncResult as = block_async_solve(p.matrix, b, ao);
 
     std::cout << "--- " << p.name << " ---\n";

@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
     ao.block_size = 448;
     ao.local_iters = 5;
     ao.matrix_name = p.name;
+    ao.exact_history = true;  // the figure plots every history entry
     const BlockAsyncResult as = block_async_solve(p.matrix, b, ao);
 
     const value_t t_gs = model.host_gauss_seidel_iteration(shape);

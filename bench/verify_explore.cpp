@@ -32,6 +32,7 @@
 #include "gpusim/async_executor.hpp"
 #include "gpusim/worker_pool.hpp"
 #include "matrices/generators.hpp"
+#include "sparse/vector_ops.hpp"
 #include "report/args.hpp"
 #include "service/solve_service.hpp"
 #include "verify/explorer.hpp"
@@ -103,6 +104,7 @@ Gate gate_executor_exhaustive() {
   o.policy = gpusim::SchedulePolicy::kRoundRobin;
   o.concurrent_slots = 4;
   o.record_trace = true;
+  o.rhs_norm = norm2(b);  // residual slots under the race oracle too
 
   o.num_workers = 0;
   Vector xs(b.size(), 0.0);

@@ -165,6 +165,9 @@ BARS_HOT_NOALLOC void BlockJacobiKernel::update(
   const value_t* rhs = b_->data();
 
   if (sweep_ == LocalSweep::kJacobi) {
+    // acc - a_ii x_i is row i's residual at read time: its square sums
+    // into the block's residual slot for one multiply-subtract per row.
+    value_t rsq = 0.0;
     for (index_t li = 0; li < m; ++li) {
       value_t acc = rhs[blk.work_lo + li];
       for (index_t k = blk.grow_ptr[li]; k < blk.grow_ptr[li + 1]; ++k) {
@@ -174,8 +177,12 @@ BARS_HOT_NOALLOC void BlockJacobiKernel::update(
       for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
         acc -= blk.lval[k] * xw[blk.lcol[k]];
       }
+      const value_t ri = acc - blk.diag[li] * xw[li];
+      rsq += ri * ri;
       cur[li] = (1.0 - omega_) * xw[li] + omega_ * (acc / blk.diag[li]);
     }
+    // With overlap the working range holds rows the block does not own.
+    if (ctx.residual_sq != nullptr && overlap_ == 0) *ctx.residual_sq = rsq;
     for (index_t sweep = 1; sweep < sweeps; ++sweep) {
       for (index_t li = 0; li < m; ++li) {
         value_t acc = s[li];

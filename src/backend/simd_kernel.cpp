@@ -227,7 +227,8 @@ BARS_HOT_NOALLOC void SimdBlockSweepKernel::update(
       << "block " << block << " iterate size " << x.size() << " at vt "
       << ctx.virtual_time;
   detail::simd_update_block(blk, halo_values, b_->data(), x, omega_,
-                            block_local_iters(block), ctx.failed_components);
+                            block_local_iters(block), ctx.failed_components,
+                            ctx.residual_sq);
 }
 
 }  // namespace bars::backend

@@ -79,12 +79,14 @@ struct SimdBlockLayout {
 
 /// The vectorized sweep + commit for one block. Lives in the AVX2
 /// translation unit; never allocates. `mask` is the executor's failed
-/// component mask (may be null).
+/// component mask (may be null); `residual_sq`, when not null, receives
+/// the block's squared residual at read time (ExecContext::residual_sq).
 void simd_update_block(const SimdBlockLayout& blk,
                        std::span<const value_t> halo_values,
                        const value_t* rhs, std::span<value_t> x,
                        value_t omega, index_t sweeps,
-                       const std::vector<std::uint8_t>* mask) noexcept;
+                       const std::vector<std::uint8_t>* mask,
+                       value_t* residual_sq) noexcept;
 
 }  // namespace detail
 

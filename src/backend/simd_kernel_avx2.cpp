@@ -60,7 +60,8 @@ void simd_update_block(const SimdBlockLayout& blk,
                        std::span<const value_t> halo_values,
                        const value_t* rhs, std::span<value_t> x,
                        value_t omega, index_t sweeps,
-                       const std::vector<std::uint8_t>* mask) noexcept {
+                       const std::vector<std::uint8_t>* mask,
+                       value_t* residual_sq) noexcept {
   const index_t m = blk.m;
   const index_t full = blk.full_groups;
   const value_t* xw = x.data() + blk.lo;
@@ -74,7 +75,10 @@ void simd_update_block(const SimdBlockLayout& blk,
 
   // First sweep, fused exactly like the scalar kernel: the frozen
   // s_i = b_i - (global part) shares the accumulator chain with the
-  // local part and is spilled only when later sweeps need it.
+  // local part and is spilled only when later sweeps need it. Its
+  // acc - a_ii x_i is the row's residual at read time, summed squared
+  // into the block's residual slot.
+  __m256d vrsq = _mm256_setzero_pd();
   for (index_t g = 0; g < full; ++g) {
     const index_t r = 4 * g;
     __m256d acc = _mm256_loadu_pd(rhs + blk.lo + r);
@@ -85,10 +89,15 @@ void simd_update_block(const SimdBlockLayout& blk,
                         blk.lgroup_ptr[g], blk.lgroup_ptr[g + 1], acc);
     const __m256d xq = _mm256_loadu_pd(xw + r);
     const __m256d d = _mm256_loadu_pd(blk.diag.data() + r);
+    const __m256d rv = _mm256_fnmadd_pd(d, xq, acc);
+    vrsq = _mm256_fmadd_pd(rv, rv, vrsq);
     const __m256d out = _mm256_fmadd_pd(
         vrest, xq, _mm256_mul_pd(vomega, _mm256_div_pd(acc, d)));
     _mm256_storeu_pd(cur + r, out);
   }
+  alignas(32) value_t lanes[4];
+  _mm256_store_pd(lanes, vrsq);
+  value_t rsq = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
   // Tail rows (< 4) run scalar over the same padded slices: lane l of
   // the last group, padding entries contribute 0.
   for (index_t r = 4 * full; r < m; ++r) {
@@ -103,8 +112,11 @@ void simd_update_block(const SimdBlockLayout& blk,
          ++k) {
       acc -= blk.lval[4 * k + l] * xw[blk.lcol[4 * k + l]];
     }
+    const value_t ri = acc - blk.diag[r] * xw[r];
+    rsq += ri * ri;
     cur[r] = (1.0 - omega) * xw[r] + omega * (acc / blk.diag[r]);
   }
+  if (residual_sq != nullptr) *residual_sq = rsq;
 
   for (index_t sweep = 1; sweep < sweeps; ++sweep) {
     for (index_t g = 0; g < full; ++g) {
@@ -145,7 +157,7 @@ void simd_update_block(const SimdBlockLayout& blk,
 
 void simd_update_block(const SimdBlockLayout&, std::span<const value_t>,
                        const value_t*, std::span<value_t>, value_t, index_t,
-                       const std::vector<std::uint8_t>*) noexcept {
+                       const std::vector<std::uint8_t>*, value_t*) noexcept {
   // Unreachable: SimdBlockSweepKernel's constructor throws
   // backend_unsupported when simd_compiled() is false.
 }

@@ -101,6 +101,8 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
   exec.stopping.tol = opts.solve.tol;
   exec.stopping.divergence_limit = opts.solve.divergence_limit;
   exec.stopping.cancel = opts.solve.cancel;
+  // The proxy divides by the same norm relative_residual does.
+  exec.rhs_norm = opts.exact_history ? 0.0 : norm2(b);
   exec.telemetry = opts.solve.telemetry;
   exec.num_devices = opts.num_devices;
   exec.scheme = opts.scheme;

@@ -83,6 +83,16 @@ struct BlockAsyncOptions {
   /// keeps the serial event loop.
   index_t num_workers = 0;
 
+  /// Evaluate the exact relative residual at every global iteration,
+  /// so solve.residual_history holds exact values throughout (the
+  /// per-iteration figure harnesses set this). Off, a plain
+  /// single-device run monitors a residual proxy summed from the
+  /// kernel's per-block residuals and evaluates the exact residual only
+  /// once the proxy nears tol: the iterate, iteration count, status and
+  /// final_residual are the same, but history entries before that
+  /// point are proxies (see docs/MODEL.md, "Stopping").
+  bool exact_history = false;
+
   /// Matrix name for the cost model's calibration lookup; empty uses
   /// the generic formula.
   std::string matrix_name;

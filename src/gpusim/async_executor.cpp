@@ -1,6 +1,7 @@
 #include "gpusim/async_executor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <queue>
@@ -195,7 +196,30 @@ ExecutorResult AsyncExecutor::run(
   IterationMonitor monitor(opts_.stopping,
                            opts_.resilience ? &*opts_.resilience : nullptr,
                            timeline ? &*timeline : nullptr, q, obs);
-  monitor.record_initial(residual_fn(x));
+  // A solve that starts converged (or non-finite) stops at boundary 0.
+  const StopVerdict initial = monitor.record_initial(residual_fn(x));
+  bool stopped = initial != StopVerdict::kContinue;
+  if (stopped) res.status = monitor.status_for(initial);
+
+  // Residual proxy (plain single-device runs with opts_.rhs_norm set):
+  // every update writes its block's squared residual at read time into
+  // slot b, and P = sqrt(sum of slots) / ||b|| stands in for the exact
+  // residual until it nears tol (IterationMonitor decides when). A
+  // negative slot is a block whose kernel did not write it, which
+  // leaves that boundary to the exact residual.
+  const bool use_proxy =
+      opts_.rhs_norm > 0.0 && !timeline && !opts_.resilience && !transfers;
+  std::vector<value_t> residual_sq(use_proxy ? static_cast<std::size_t>(q) : 0,
+                                   -1.0);
+  const auto proxy_residual = [&]() -> value_t {
+    if (!use_proxy) return -1.0;
+    value_t sum = 0.0;
+    for (const value_t s : residual_sq) {
+      if (s < 0.0) return -1.0;
+      sum += s;
+    }
+    return std::sqrt(sum) / opts_.rhs_norm;
+  };
 
   // x is the canonical iterate (monitoring, result). Under AMC and DC
   // each device computes on its own view of it; every commit is
@@ -504,6 +528,9 @@ ExecutorResult AsyncExecutor::run(
   // at a time, in event order.
   std::vector<Vector> saved_rows(can_batch ? static_cast<std::size_t>(q) : 0);
   std::vector<Vector> new_rows(can_batch ? static_cast<std::size_t>(q) : 0);
+  // Staged residual slots, published with their rows at the replay.
+  std::vector<value_t> new_residual_sq(
+      can_batch && use_proxy ? static_cast<std::size_t>(q) : 0);
   const auto save_rows = [&](index_t b) -> Vector& {
     const auto [lo, hi] = kernel_.rows(b);
     Vector& old = saved_rows[static_cast<std::size_t>(b)];
@@ -512,7 +539,6 @@ ExecutorResult AsyncExecutor::run(
     return old;
   };
 
-  bool stopped = false;
   // Commit bookkeeping for one WRITE of block b on device d (the kernel
   // update itself already ran): trace, counters, requeue, the
   // device-sweep end, the global-iteration boundary, then slot refill.
@@ -556,7 +582,8 @@ ExecutorResult AsyncExecutor::run(
       }
       const index_t mutations_before = monitor.iterate_mutations();
       const StopVerdict verdict = monitor.on_global_iteration(
-          global_iter, now, x, residual_fn, write_generation);
+          global_iter, now, x, residual_fn, write_generation,
+          proxy_residual());
       if (monitor.iterate_mutations() != mutations_before) {
         // A rollback / damped restart rewrote the canonical iterate;
         // broadcast it so no device writes stale state back over the
@@ -645,6 +672,14 @@ ExecutorResult AsyncExecutor::run(
                   const Vector& old = save_rows(blk);
                   ExecContext ctx;
                   ctx.virtual_time = now;
+                  if (use_proxy) {
+                    value_t& slot =
+                        new_residual_sq[static_cast<std::size_t>(blk)];
+                    slot = -1.0;
+                    ctx.residual_sq = &slot;
+                    BARS_VERIFY_WRITE(&slot, sizeof(value_t),
+                                      "executor.residual_slot");
+                  }
                   kernel_.update(blk, halo_snapshot[blk], x, ctx);
                   const auto [lo, hi] = kernel_.rows(blk);
                   // Declare this task's slice of x to the race oracle:
@@ -665,6 +700,10 @@ ExecutorResult AsyncExecutor::run(
               const Vector& fresh =
                   new_rows[static_cast<std::size_t>(bev.block)];
               std::copy(fresh.begin(), fresh.end(), x.begin() + lo);
+              if (use_proxy) {
+                residual_sq[static_cast<std::size_t>(bev.block)] =
+                    new_residual_sq[static_cast<std::size_t>(bev.block)];
+              }
               commit_write(bev.device, bev.block);
             }
             break;
@@ -675,6 +714,10 @@ ExecutorResult AsyncExecutor::run(
         ctx.virtual_time = now;
         ctx.failed_components =
             timeline ? timeline->component_mask() : nullptr;
+        if (use_proxy) {
+          residual_sq[static_cast<std::size_t>(b)] = -1.0;
+          ctx.residual_sq = &residual_sq[static_cast<std::size_t>(b)];
+        }
         Vector& view = view_of(d);
         kernel_.update(b, halo_snapshot[b], view, ctx);
         if (own_views) {

@@ -69,6 +69,14 @@ struct ExecutorOptions {
   /// residual_fn(x) <= tol (residual_fn decides the norm and scaling;
   /// the paper uses the relative l2 residual).
   StoppingCriteria stopping{};
+  /// ||b|| of the system the kernel relaxes. When > 0, a plain
+  /// single-device run (no fault timeline, no resilience policy)
+  /// monitors the residual proxy sqrt(sum_b ||r_b||^2) / rhs_norm built
+  /// from the kernel's ExecContext::residual_sq slots, and calls
+  /// residual_fn only once the proxy nears tol (see IterationMonitor).
+  /// It must then be the norm residual_fn divides by. 0 (the default)
+  /// calls residual_fn at every boundary.
+  value_t rhs_norm = 0.0;
 
   /// Observability hooks. The executor emits on_block_commit (gated by
   /// telemetry.block_commits) and feeds on_iteration /
@@ -177,7 +185,10 @@ class AsyncExecutor {
   ~AsyncExecutor();
 
   /// Iterate on x in place. residual_fn is called once initially and
-  /// then at most once per global iteration with the current iterate.
+  /// then at most once per global iteration with the current iterate
+  /// (under the residual proxy, only at the boundaries the proxy
+  /// leaves to it; see ExecutorOptions::rhs_norm). A solve whose
+  /// initial residual is <= tol, or not finite, stops at boundary 0.
   ExecutorResult run(Vector& x,
                      const std::function<value_t(const Vector&)>& residual_fn);
 

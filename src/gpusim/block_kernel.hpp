@@ -22,6 +22,14 @@ struct ExecContext {
   /// component whose owning core has failed: the kernel must leave its
   /// value untouched (paper Section 4.5). nullptr when no fault active.
   const std::vector<std::uint8_t>* failed_components = nullptr;
+  /// Optional out-slot for the block's squared residual at read time,
+  /// ||b_B - A_B x||^2 over the owned rows with the halo snapshot and
+  /// the block's rows as they were before this update. A kernel whose
+  /// first sweep forms that sum anyway (b_i - sum_j a_ij x_j, before
+  /// the division by a_ii) writes it here; any other kernel leaves the
+  /// slot alone and the executor keeps the exact residual for that run.
+  /// nullptr when the executor does not want it.
+  value_t* residual_sq = nullptr;
 };
 
 /// Numeric kernel for one row block ("subdomain").

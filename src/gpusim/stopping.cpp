@@ -35,11 +35,38 @@ IterationMonitor::IterationMonitor(StoppingCriteria criteria,
   }
 }
 
-void IterationMonitor::record_initial(value_t r0) {
-  history_.push_back(r0);
-  times_.push_back(0.0);
+void IterationMonitor::record(index_t iter, value_t now, value_t r) {
+  history_.push_back(r);
+  times_.push_back(now);
+  if (observer_) observer_->on_iteration({iter, r, now});
+}
+
+StopVerdict IterationMonitor::record_initial(value_t r0) {
+  record(0, 0.0, r0);
   if (detector_) (void)detector_->push(r0);
-  if (observer_) observer_->on_iteration({0, r0, 0.0});
+  if (r0 <= crit_.tol) return StopVerdict::kConverged;
+  if (!std::isfinite(r0)) return StopVerdict::kDiverged;
+  return StopVerdict::kContinue;
+}
+
+bool IterationMonitor::proxy_decides(index_t iter, value_t proxy) {
+  // !(proxy >= 0) also rejects NaN; a negative proxy means none. At
+  // boundary 1 the proxy is the starting iterate's residual with no
+  // contraction to scale the margin by, so a system solved in one
+  // global iteration (a diagonal one) would stop a boundary late.
+  if (exact_only_ || iter <= 1 || !(proxy >= 0.0) || !std::isfinite(proxy) ||
+      proxy > crit_.divergence_limit || iter >= crit_.max_global_iters ||
+      (crit_.cancel != nullptr && crit_.cancel->requested())) {
+    return false;
+  }
+  // The proxy lags the iterate by about one sweep, so the margin grows
+  // with the contraction P_prev / P seen over the last boundary.
+  const value_t margin = std::max(10.0, 3.0 * history_.back() / proxy);
+  if (!(proxy > crit_.tol * margin)) {
+    exact_only_ = true;
+    return false;
+  }
+  return true;
 }
 
 void IterationMonitor::damped_restart(
@@ -62,11 +89,13 @@ void IterationMonitor::damped_restart(
 StopVerdict IterationMonitor::on_global_iteration(
     index_t iter, value_t now, Vector& x,
     const std::function<value_t(const Vector&)>& residual_fn,
-    std::span<const index_t> block_executions) {
+    std::span<const index_t> block_executions, value_t proxy) {
+  if (proxy_decides(iter, proxy)) {
+    record(iter, now, proxy);
+    return StopVerdict::kContinue;
+  }
   value_t r = residual_fn(x);
-  history_.push_back(r);
-  times_.push_back(now);
-  if (observer_) observer_->on_iteration({iter, r, now});
+  record(iter, now, r);
   if (timeline_) timeline_->advance(iter);
 
   // Cooperative cancellation, honored before the recovery machinery

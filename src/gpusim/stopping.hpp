@@ -57,17 +57,30 @@ class IterationMonitor {
                    index_t num_blocks,
                    telemetry::SolveObserver* observer = nullptr);
 
-  /// Record the initial residual (history index 0, time 0).
-  void record_initial(value_t r0);
+  /// Record the initial residual (history index 0, time 0) and return
+  /// the boundary-0 verdict: kConverged when r0 <= tol, kDiverged when
+  /// r0 is not finite, kContinue otherwise.
+  [[nodiscard]] StopVerdict record_initial(value_t r0);
 
   /// Handle the boundary after global iteration `iter`: record the
   /// residual, advance the fault timeline, run detector/checkpoint/
   /// watchdog hooks (which may mutate x — rollback, damped restart),
   /// and return the stopping verdict.
+  ///
+  /// `proxy` is the executor's residual proxy for this boundary, or
+  /// negative when it has none (proxies are passed for plain runs only:
+  /// no policy, no timeline). While the proxy P stays clear of tol —
+  /// P > tol * max(10, 3 * P_prev / P), P_prev being the previous
+  /// history entry, so a fast contraction widens the margin — the
+  /// boundary records P and continues without calling residual_fn.
+  /// Once P comes within that margin every later boundary is exact.
+  /// Boundary 1, cancel, the iteration limit, and non-finite or
+  /// over-limit values of P also fall through to the exact residual, so
+  /// only an exact value decides a stop.
   StopVerdict on_global_iteration(
       index_t iter, value_t now, Vector& x,
       const std::function<value_t(const Vector&)>& residual_fn,
-      std::span<const index_t> block_executions);
+      std::span<const index_t> block_executions, value_t proxy = -1.0);
 
   [[nodiscard]] std::vector<value_t>& residual_history() { return history_; }
   [[nodiscard]] std::vector<value_t>& time_history() { return times_; }
@@ -113,6 +126,14 @@ class IterationMonitor {
   void damped_restart(index_t iter, Vector& x, value_t& r,
                       const std::function<value_t(const Vector&)>& residual_fn);
 
+  /// Append one history entry and mirror it to the observer.
+  void record(index_t iter, value_t now, value_t r);
+
+  /// True when `proxy` may stand in for the exact residual at boundary
+  /// `iter` (see on_global_iteration); latches exact_only_ once the
+  /// proxy nears tol.
+  bool proxy_decides(index_t iter, value_t proxy);
+
   StoppingCriteria crit_;
   resilience::ScenarioTimeline* timeline_;
   std::optional<resilience::CheckpointStore> checkpoint_;
@@ -122,6 +143,7 @@ class IterationMonitor {
   value_t restart_damping_ = 0.5;
   index_t max_rollbacks_ = 0;
   index_t restarts_done_ = 0;
+  bool exact_only_ = false;
   std::vector<value_t> history_;
   std::vector<value_t> times_;
   resilience::Report report_;

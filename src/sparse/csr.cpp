@@ -9,13 +9,23 @@
 namespace bars {
 
 Csr Csr::from_coo(const Coo& coo) {
-  const Coo canon = coo.sorted(/*keep_zeros=*/true);
+  // Entries already strictly row-major (so free of duplicates) are
+  // their own canonical form: skip the sorted copy.
+  const std::vector<Triplet>& raw = coo.entries();
+  const bool canonical =
+      std::adjacent_find(raw.begin(), raw.end(),
+                         [](const Triplet& a, const Triplet& b) {
+                           return a.row != b.row ? a.row > b.row
+                                                 : a.col >= b.col;
+                         }) == raw.end();
+  const Coo canon = canonical ? Coo{} : coo.sorted(/*keep_zeros=*/true);
+  const std::vector<Triplet>& entries = canonical ? raw : canon.entries();
   std::vector<index_t> row_ptr(static_cast<std::size_t>(coo.rows()) + 1, 0);
   std::vector<index_t> col_idx;
   std::vector<value_t> values;
-  col_idx.reserve(canon.entries().size());
-  values.reserve(canon.entries().size());
-  for (const auto& t : canon.entries()) {
+  col_idx.reserve(entries.size());
+  values.reserve(entries.size());
+  for (const auto& t : entries) {
     ++row_ptr[static_cast<std::size_t>(t.row) + 1];
     col_idx.push_back(t.col);
     values.push_back(t.value);

@@ -240,5 +240,49 @@ TEST(BlockAsync, BlockExecutionCountsReturned) {
   for (index_t c : r.block_executions) EXPECT_GT(c, 0);
 }
 
+// A solve that starts at or below tol stops at boundary 0: no block
+// runs, the iterate comes back untouched, and the history holds r0 only.
+BlockAsyncOptions boundary0_options() {
+  BlockAsyncOptions o;
+  o.block_size = 64;
+  o.local_iters = 5;
+  o.solve.tol = 1e-12;
+  return o;
+}
+
+TEST(BlockAsync, ZeroRhsConvergesAtBoundaryZero) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 0.0);
+  const BlockAsyncResult r = block_async_solve(a, b, boundary0_options());
+  EXPECT_EQ(r.solve.status, SolverStatus::kConverged);
+  EXPECT_EQ(r.solve.iterations, 0);
+  EXPECT_EQ(r.solve.final_residual, 0.0);
+  EXPECT_EQ(r.solve.residual_history.size(), 1U);
+  for (index_t c : r.block_executions) EXPECT_EQ(c, 0);
+  for (value_t xi : r.solve.x) EXPECT_EQ(xi, 0.0);
+}
+
+TEST(BlockAsync, ConvergedWarmStartStopsAtBoundaryZero) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  const BlockAsyncOptions o = boundary0_options();
+  const BlockAsyncResult cold = block_async_solve(a, b, o);
+  ASSERT_EQ(cold.solve.status, SolverStatus::kConverged);
+  const BlockAsyncResult warm = block_async_solve(a, b, o, &cold.solve.x);
+  EXPECT_EQ(warm.solve.status, SolverStatus::kConverged);
+  EXPECT_EQ(warm.solve.iterations, 0);
+  EXPECT_EQ(warm.solve.final_residual, relative_residual(a, b, cold.solve.x));
+  EXPECT_EQ(warm.solve.x, cold.solve.x);
+}
+
+TEST(BlockAsync, NonFiniteRhsDivergesAtBoundaryZero) {
+  const Csr a = fv_like(16, 0.5);
+  Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  b[3] = std::nan("");
+  const BlockAsyncResult r = block_async_solve(a, b, boundary0_options());
+  EXPECT_EQ(r.solve.status, SolverStatus::kDiverged);
+  EXPECT_EQ(r.solve.iterations, 0);
+}
+
 }  // namespace
 }  // namespace bars

@@ -18,6 +18,7 @@
 #include "gpusim/async_executor.hpp"
 #include "gpusim/worker_pool.hpp"
 #include "matrices/generators.hpp"
+#include "sparse/vector_ops.hpp"
 #include "telemetry/observer.hpp"
 #include "verify/explorer.hpp"
 #include "verify/invariants.hpp"
@@ -63,10 +64,13 @@ gpusim::ExecutorOptions small_opts() {
 /// bit, keep the commit ledger clean (no lost commit, per-block
 /// generations gapless, virtual time monotone, staleness within the
 /// Chazan-Miranker skew bound), and satisfy the disjoint-rows write
-/// contract under the race oracle.
+/// contract (rows and residual slots) under the race oracle.
 TEST(VerifyExecutor, ExhaustiveBitIdentityAndCommitLedger) {
   Sys s(8, 2, 1);  // q = 4 blocks
   gpusim::ExecutorOptions o = small_opts();
+  // Residual proxy on: the pool workers also write the blocks' staged
+  // residual slots, which the race oracle watches with the rows.
+  o.rhs_norm = norm2(s.b);
 
   Vector xs;
   o.num_workers = 0;
