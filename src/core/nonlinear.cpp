@@ -7,6 +7,7 @@
 #include "backend/registry.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/vector_ops.hpp"
+#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -180,6 +181,12 @@ NonlinearAsyncResult nonlinear_block_async_solve(
   const value_t nb = norm2(b);
   const value_t den = nb > 0.0 ? nb : 1.0;
 
+  // The executor emits iteration and commit events to the observer;
+  // the probe brackets them with the solve's start and finish.
+  telemetry::SolveProbe probe(opts.solve.telemetry, "nonlinear-block-async");
+  probe.start(a.rows(), a.nnz(), part.num_blocks(), 0,
+              telemetry::TimeDomain::kVirtual);
+
   gpusim::AsyncExecutor executor(kernel, exec);
   const auto residual_fn = [&](const Vector& x) {
     return nonlinear_residual(a, b, phi, x, den);
@@ -194,6 +201,12 @@ NonlinearAsyncResult nonlinear_block_async_solve(
     out.solve.time_history = std::move(r.time_history);
   }
   out.block_executions = std::move(r.block_executions);
+
+  index_t commits = 0;
+  for (index_t c : out.block_executions) commits += c;
+  probe.finish(out.solve.status, out.solve.iterations,
+               out.solve.final_residual, commits, r.max_staleness,
+               r.virtual_time);
   return out;
 }
 

@@ -161,15 +161,6 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
     }
   };
 
-  std::vector<common::Thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (index_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&worker, t] { worker(t); });
-  }
-  if (metrics != nullptr) {
-    metrics->gauge("thread_async_setup_seconds").set(probe.elapsed_seconds());
-  }
-
   const value_t nb = norm2(b);
   const value_t den = nb > 0.0 ? nb : 1.0;
   // Monitor scratch, allocated once: the loop below must not heap-
@@ -188,6 +179,24 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
     if (opts.solve.record_history) sr.residual_history.push_back(rel);
     sr.final_residual = rel;
     if (probe.active()) probe.iteration(0, rel, probe.elapsed_seconds());
+  }
+  // A solve that starts converged (or non-finite) stops at boundary 0,
+  // before any worker starts.
+  const bool converged0 = sr.final_residual <= opts.solve.tol;
+  if (converged0 || !std::isfinite(sr.final_residual)) {
+    sr.status = converged0 ? SolverStatus::kConverged : SolverStatus::kDiverged;
+    sr.x = std::move(snap);
+    probe.finish(sr.status, 0, sr.final_residual);
+    return out;
+  }
+
+  std::vector<common::Thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  for (index_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&worker, t] { worker(t); });
+  }
+  if (metrics != nullptr) {
+    metrics->gauge("thread_async_setup_seconds").set(probe.elapsed_seconds());
   }
   // A "global iteration" completes when *every* block has executed at
   // least once more — the paper's counting convention, robust against

@@ -8,8 +8,7 @@ namespace bars::service {
 
 std::size_t CircuitBreaker::KeyHash::operator()(const Key& k) const noexcept {
   const index_t cfg[2] = {k.config.block_size, k.config.local_iters};
-  return static_cast<std::size_t>(
-      fnv1a64(cfg, sizeof(cfg), k.fingerprint ^ 0x9e3779b97f4a7c15ULL));
+  return static_cast<std::size_t>(hash64(cfg, sizeof(cfg), k.fingerprint));
 }
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions opts) : opts_(opts) {

@@ -10,16 +10,15 @@
 namespace bars::service {
 
 std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
-  // Fold the config into the matrix fingerprint with the same FNV-1a
+  // Fold the config into the matrix fingerprint with the same hash
   // primitive the fingerprint itself uses. The backend name is part of
   // the key: a plan built for one backend must never hash-collide into
   // serving another (equality would still reject it; keying it keeps
   // the buckets honest).
   const index_t cfg[2] = {k.config.block_size, k.config.local_iters};
-  const std::uint64_t seed =
-      fnv1a64(cfg, sizeof(cfg), k.fingerprint ^ 0xcbf29ce484222325ULL);
+  const std::uint64_t seed = hash64(cfg, sizeof(cfg), k.fingerprint);
   return static_cast<std::size_t>(
-      fnv1a64(k.config.backend.data(), k.config.backend.size(), seed));
+      hash64(k.config.backend.data(), k.config.backend.size(), seed));
 }
 
 PlanCache::PlanCache(std::size_t capacity)
@@ -41,7 +40,15 @@ std::shared_ptr<SolvePlan> PlanCache::acquire(const Csr& a,
                                               const PlanConfig& config,
                                               bool* hit,
                                               const char* inject_failure) {
-  const Key key{matrix_fingerprint(a), config};
+  return acquire(matrix_fingerprint(a), a, config, hit, inject_failure);
+}
+
+std::shared_ptr<SolvePlan> PlanCache::acquire(std::uint64_t fingerprint,
+                                              const Csr& a,
+                                              const PlanConfig& config,
+                                              bool* hit,
+                                              const char* inject_failure) {
+  const Key key{fingerprint, config};
   const Clock::time_point now = Clock::now();
   common::MutexLock lock(mu_);
   if (auto it = map_.find(key); it != map_.end()) {

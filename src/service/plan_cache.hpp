@@ -117,6 +117,16 @@ class PlanCache {
       const Csr& a, const PlanConfig& config, bool* hit = nullptr,
       const char* inject_failure = nullptr);
 
+  /// acquire() keyed by a fingerprint the caller already holds, so a
+  /// request pays for one pass over A, not two: SolveService hashes at
+  /// submit and passes that key here. `fingerprint` must be
+  /// matrix_fingerprint(a); the cache does not recompute it, and a
+  /// wrong key would file (and later serve) a's plan under another
+  /// matrix's name. The unkeyed form delegates here.
+  [[nodiscard]] std::shared_ptr<SolvePlan> acquire(
+      std::uint64_t fingerprint, const Csr& a, const PlanConfig& config,
+      bool* hit = nullptr, const char* inject_failure = nullptr);
+
   /// Like acquire() but never builds: null on miss, and the LRU order
   /// is untouched (peeking is not a use).
   [[nodiscard]] std::shared_ptr<SolvePlan> peek(std::uint64_t fingerprint,

@@ -144,8 +144,9 @@ std::shared_ptr<Ticket> SolveService::submit(SolveRequest req) {
       return reject(RequestOutcome::kFailed,
                     "block_size and local_iters must be > 0");
     }
-    // Fingerprint outside the service lock: O(nnz), but it buys the
-    // cache lookup, the batching key, and the breaker key.
+    // Fingerprint outside the service lock: the request's one O(nnz)
+    // pass, which buys the batching key, the breaker key, and the plan
+    // lookup (execute_batch hands it to PlanCache::acquire).
     rs->fingerprint = matrix_fingerprint(*req.matrix);
     rs->config = PlanConfig{req.options.block_size, req.options.local_iters,
                             req.options.backend};
@@ -331,8 +332,8 @@ void SolveService::execute_batch(std::vector<AttemptPtr> batch) {
     if (opts_.chaos != nullptr && opts_.chaos->plan_failure_active()) {
       inject = "injected plan-construction failure (chaos)";
     }
-    plan = cache_.acquire(*first.rs->req.matrix, first.rs->config, &cache_hit,
-                          inject);
+    plan = cache_.acquire(first.rs->fingerprint, *first.rs->req.matrix,
+                          first.rs->config, &cache_hit, inject);
     if (inject != nullptr && !cache_hit) opts_.chaos->count_plan_failure();
     common::MutexLock lock(mu_);
     if (cache_hit) {

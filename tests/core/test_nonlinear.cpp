@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/cancel.hpp"
 #include "core/jacobi.hpp"
 #include "matrices/generators.hpp"
+#include "telemetry/observer.hpp"
 
 namespace bars {
 namespace {
@@ -158,6 +163,72 @@ TEST(NonlinearAsync, PreTrippedTokenAborts) {
       nonlinear_block_async_solve(a, b, cubic_nonlinearity(0.5), o);
   EXPECT_EQ(r.solve.status, SolverStatus::kAborted);
   EXPECT_EQ(r.solve.iterations, 1);
+}
+
+/// Logs the observer callbacks in order: S(tart), I(teration),
+/// C(ommit), R(ecovery), F(inish).
+class SequenceObserver final : public telemetry::SolveObserver {
+ public:
+  void on_start(const telemetry::SolveStartEvent& ev) override {
+    seq += 'S';
+    start = ev;
+  }
+  void on_iteration(const telemetry::IterationEvent&) override { seq += 'I'; }
+  void on_block_commit(const telemetry::BlockCommitEvent&) override {
+    seq += 'C';
+  }
+  void on_recovery_event(const telemetry::RecoveryEvent&) override {
+    seq += 'R';
+  }
+  void on_finish(const telemetry::SolveFinishEvent& ev) override {
+    seq += 'F';
+    finish = ev;
+  }
+
+  std::string seq;
+  telemetry::SolveStartEvent start;
+  telemetry::SolveFinishEvent finish;
+};
+
+TEST(NonlinearAsync, ObservedRunIsBracketedByStartAndFinish) {
+  const Csr a = fv_like(8, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  NonlinearAsyncOptions o;
+  o.block_size = 16;
+  o.solve.max_iters = 2000;
+  o.solve.tol = 1e-10;
+  const auto phi = cubic_nonlinearity(0.5);
+  const NonlinearAsyncResult plain = nonlinear_block_async_solve(a, b, phi, o);
+
+  SequenceObserver obs;
+  o.solve.telemetry.observer = &obs;
+  const NonlinearAsyncResult seen = nonlinear_block_async_solve(a, b, phi, o);
+  ASSERT_TRUE(seen.solve.ok()) << to_string(seen.solve.status);
+
+  index_t commits = 0;
+  for (index_t c : seen.block_executions) commits += c;
+  ASSERT_GE(obs.seq.size(), 2u);
+  EXPECT_EQ(obs.seq.front(), 'S');
+  EXPECT_EQ(obs.seq.back(), 'F');
+  EXPECT_EQ(std::count(obs.seq.begin(), obs.seq.end(), 'S'), 1);
+  EXPECT_EQ(std::count(obs.seq.begin(), obs.seq.end(), 'F'), 1);
+  EXPECT_EQ(std::count(obs.seq.begin(), obs.seq.end(), 'I'),
+            seen.solve.iterations + 1);  // boundary 0 included
+  EXPECT_EQ(std::count(obs.seq.begin(), obs.seq.end(), 'C'), commits);
+  EXPECT_EQ(obs.start.rows, a.rows());
+  EXPECT_EQ(obs.start.time_domain, telemetry::TimeDomain::kVirtual);
+  EXPECT_EQ(obs.finish.status, seen.solve.status);
+  EXPECT_EQ(obs.finish.iterations, seen.solve.iterations);
+  EXPECT_EQ(obs.finish.block_commits, commits);
+
+  // Observation is neutral to the iterate's bits.
+  EXPECT_EQ(seen.solve.iterations, plain.solve.iterations);
+  ASSERT_EQ(seen.solve.x.size(), plain.solve.x.size());
+  for (std::size_t i = 0; i < plain.solve.x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seen.solve.x[i]),
+              std::bit_cast<std::uint64_t>(plain.solve.x[i]))
+        << "x[" << i << "]";
+  }
 }
 
 }  // namespace

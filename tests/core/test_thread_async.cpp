@@ -87,6 +87,58 @@ TEST(ThreadAsync, EveryBlockExecutes) {
   EXPECT_EQ(sum, r.total_block_executions);
 }
 
+// A solve that starts at or below tol, or non-finite, stops at boundary
+// 0 before any worker starts: no block runs and the iterate comes back
+// untouched.
+ThreadAsyncOptions boundary0_options() {
+  ThreadAsyncOptions o;
+  o.block_size = 64;
+  o.local_iters = 5;
+  o.num_threads = 3;
+  o.solve.max_iters = 10000;
+  o.solve.tol = 1e-12;
+  return o;
+}
+
+void expect_no_block_ran(const ThreadAsyncResult& r) {
+  EXPECT_EQ(r.solve.iterations, 0);
+  EXPECT_EQ(r.total_block_executions, 0);
+  for (index_t c : r.block_executions) EXPECT_EQ(c, 0);
+}
+
+TEST(ThreadAsync, ZeroRhsConvergesAtBoundaryZero) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 0.0);
+  const ThreadAsyncResult r = thread_async_solve(a, b, boundary0_options());
+  EXPECT_EQ(r.solve.status, SolverStatus::kConverged);
+  EXPECT_EQ(r.solve.final_residual, 0.0);
+  EXPECT_EQ(r.solve.residual_history.size(), 1U);
+  expect_no_block_ran(r);
+  for (value_t xi : r.solve.x) EXPECT_EQ(xi, 0.0);
+}
+
+TEST(ThreadAsync, ConvergedWarmStartStopsAtBoundaryZero) {
+  const Csr a = fv_like(16, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  const ThreadAsyncOptions o = boundary0_options();
+  const ThreadAsyncResult cold = thread_async_solve(a, b, o);
+  ASSERT_EQ(cold.solve.status, SolverStatus::kConverged);
+  const ThreadAsyncResult warm = thread_async_solve(a, b, o, &cold.solve.x);
+  EXPECT_EQ(warm.solve.status, SolverStatus::kConverged);
+  EXPECT_EQ(warm.solve.final_residual, relative_residual(a, b, cold.solve.x));
+  EXPECT_EQ(warm.solve.x, cold.solve.x);
+  expect_no_block_ran(warm);
+}
+
+TEST(ThreadAsync, NonFiniteRhsDivergesAtBoundaryZero) {
+  const Csr a = fv_like(16, 0.5);
+  Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  b[3] = std::nan("");
+  const ThreadAsyncResult r = thread_async_solve(a, b, boundary0_options());
+  EXPECT_EQ(r.solve.status, SolverStatus::kDiverged);
+  expect_no_block_ran(r);
+}
+
 TEST(ThreadAsync, RejectsDimensionMismatch) {
   const Csr a = poisson1d(4);
   const Vector b(5, 1.0);

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "matrices/generators.hpp"
 #include "service/fingerprint.hpp"
+#include "service/solve_service.hpp"
 
 namespace bars::service {
 namespace {
@@ -22,6 +25,99 @@ TEST(Fingerprint, DeterministicAndValueSensitive) {
   const Csr d = fv_like(9, 0.5);   // different structure
   EXPECT_NE(matrix_fingerprint(a), matrix_fingerprint(c));
   EXPECT_NE(matrix_fingerprint(a), matrix_fingerprint(d));
+}
+
+/// A 3x3 tridiagonal matrix as raw arrays: 40 header bytes, 32 of
+/// row_ptr and 56 each of col_idx and values, so the hash runs both its
+/// four-lane loop and its word tail.
+struct RawCsr {
+  index_t rows = 3;
+  index_t cols = 3;
+  std::vector<index_t> row_ptr{0, 2, 5, 7};
+  std::vector<index_t> col_idx{0, 1, 0, 1, 2, 1, 2};
+  std::vector<value_t> values{4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0};
+
+  [[nodiscard]] std::uint64_t fingerprint() const {
+    return matrix_fingerprint(rows, cols, row_ptr, col_idx, values);
+  }
+  [[nodiscard]] Csr csr() const {
+    return Csr(rows, cols, row_ptr, col_idx, values);
+  }
+};
+
+/// Flip each bit of `obj`'s bytes in turn and report any flip that
+/// leaves `raw`'s fingerprint unchanged.
+void expect_every_bit_flip_changes(RawCsr& raw, void* obj, std::size_t bytes,
+                                   const char* what) {
+  const std::uint64_t base = raw.fingerprint();
+  auto* p = static_cast<unsigned char*>(obj);
+  for (std::size_t bit = 0; bit < 8 * bytes; ++bit) {
+    p[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    EXPECT_NE(raw.fingerprint(), base) << what << " bit " << bit;
+    p[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  }
+  EXPECT_EQ(raw.fingerprint(), base);
+}
+
+TEST(Fingerprint, EveryBitFlipChangesIt) {
+  RawCsr raw;
+  expect_every_bit_flip_changes(raw, &raw.rows, sizeof(raw.rows), "rows");
+  expect_every_bit_flip_changes(raw, &raw.cols, sizeof(raw.cols), "cols");
+  expect_every_bit_flip_changes(raw, raw.row_ptr.data(),
+                                raw.row_ptr.size() * sizeof(index_t),
+                                "row_ptr");
+  expect_every_bit_flip_changes(raw, raw.col_idx.data(),
+                                raw.col_idx.size() * sizeof(index_t),
+                                "col_idx");
+  expect_every_bit_flip_changes(raw, raw.values.data(),
+                                raw.values.size() * sizeof(value_t), "values");
+}
+
+TEST(Fingerprint, RawArraysMatchTheCsrForm) {
+  const RawCsr raw;
+  EXPECT_EQ(raw.fingerprint(), matrix_fingerprint(raw.csr()));
+}
+
+TEST(Fingerprint, SignedZerosDiffer) {
+  RawCsr pos;
+  pos.values[1] = 0.0;
+  RawCsr neg;
+  neg.values[1] = -0.0;
+  EXPECT_NE(matrix_fingerprint(pos.csr()), matrix_fingerprint(neg.csr()));
+}
+
+TEST(Fingerprint, MovingAnEntryToAnotherRowChangesIt) {
+  // Entry (0, 1) moves to (1, 1) with its value: col_idx and values
+  // stay byte-identical, and only row_ptr tells the two apart.
+  const Csr a(2, 3, {0, 2, 3}, {0, 1, 2}, {4.0, -1.0, 4.0});
+  const Csr b(2, 3, {0, 1, 3}, {0, 1, 2}, {4.0, -1.0, 4.0});
+  EXPECT_NE(matrix_fingerprint(a), matrix_fingerprint(b));
+}
+
+TEST(Fingerprint, EmptyMatrixHashes) {
+  const Csr empty;
+  EXPECT_EQ(matrix_fingerprint(empty), matrix_fingerprint(Csr{}));
+  EXPECT_NE(matrix_fingerprint(empty), matrix_fingerprint(RawCsr{}.csr()));
+}
+
+TEST(Fingerprint, GoldenValue) {
+  // Pins the determinism promise of fingerprint.hpp: a change to the
+  // hash, its seeding, or what it covers shows up here (and silently
+  // invalidates any fingerprint kept across a process restart).
+  EXPECT_EQ(matrix_fingerprint(RawCsr{}.csr()), 0xe2d138e96acd3c5dULL);
+}
+
+TEST(Fingerprint, Hash64MatchesXxHash64TestVectors) {
+  // Published XXH64 values (seed 0) for inputs shorter than one
+  // 32-byte stripe: the empty input, a lone byte, and the word,
+  // half-word and byte tails together.
+  const auto h = [](const char* s) {
+    return hash64(s, std::char_traits<char>::length(s), 0);
+  };
+  EXPECT_EQ(h(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(h("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(h("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(h("message digest"), 0x066ed728fceeb3beULL);
 }
 
 TEST(PlanCache, ZeroCapacityThrows) {
@@ -50,6 +146,39 @@ TEST(PlanCache, MissBuildsThenHits) {
   EXPECT_EQ(s.evictions, 0u);
   EXPECT_EQ(s.size, 1u);
   EXPECT_EQ(s.capacity, 4u);
+}
+
+TEST(PlanCache, KeyedAndUnkeyedAcquireShareOnePlan) {
+  PlanCache cache(4);
+  const Csr a = fv_like(6, 0.5);
+  bool hit = true;
+  const auto p1 = cache.acquire(a, PlanConfig{}, &hit);
+  EXPECT_FALSE(hit);
+  const auto p2 = cache.acquire(matrix_fingerprint(a), a, PlanConfig{}, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(p1.get(), p2.get());
+  const PlanCacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+}
+
+TEST(PlanCache, ServedRequestLeavesItsPlanUnderTheMatrixFingerprint) {
+  // The service keys the cache with the fingerprint it took at submit;
+  // that key must be matrix_fingerprint(a), or peek by content misses.
+  ServiceOptions so;
+  so.num_workers = 1;
+  SolveService svc(so);
+  const auto a = std::make_shared<const Csr>(fv_like(8, 0.5));
+  SolveRequest req;
+  req.matrix = a;
+  req.b = Vector(static_cast<std::size_t>(a->rows()), 1.0);
+  req.options.block_size = 16;
+  req.options.local_iters = 2;
+  const PlanConfig cfg{16, 2, req.options.backend};
+  ASSERT_EQ(svc.plan_cache().peek(matrix_fingerprint(*a), cfg), nullptr);
+  const SolveResponse r = svc.solve(std::move(req));
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_NE(svc.plan_cache().peek(matrix_fingerprint(*a), cfg), nullptr);
 }
 
 TEST(PlanCache, DistinctConfigsGetDistinctPlans) {
