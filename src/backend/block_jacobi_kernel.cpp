@@ -12,25 +12,10 @@ BlockJacobiKernel::BlockJacobiKernel(const Csr& a, const Vector& b,
                                      RowPartition partition,
                                      index_t local_iters, LocalSweep sweep,
                                      value_t local_omega, index_t overlap)
-    : b_(&b),
-      partition_(std::move(partition)),
-      local_iters_(local_iters),
+    : SweepKernelBase(a, b, std::move(partition), local_iters, local_omega,
+                      "BlockJacobiKernel"),
       sweep_(sweep),
-      omega_(local_omega),
       overlap_(overlap) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("BlockJacobiKernel: matrix not square");
-  }
-  if (partition_.total_rows() != a.rows() ||
-      static_cast<index_t>(b.size()) != a.rows()) {
-    throw std::invalid_argument("BlockJacobiKernel: size mismatch");
-  }
-  if (local_iters_ <= 0) {
-    throw std::invalid_argument("BlockJacobiKernel: local_iters must be > 0");
-  }
-  if (omega_ <= 0.0 || omega_ >= 2.0) {
-    throw std::invalid_argument("BlockJacobiKernel: omega must be in (0,2)");
-  }
   if (overlap_ < 0) {
     throw std::invalid_argument("BlockJacobiKernel: overlap must be >= 0");
   }
@@ -38,54 +23,13 @@ BlockJacobiKernel::BlockJacobiKernel(const Csr& a, const Vector& b,
   const index_t n = a.rows();
   const index_t q = partition_.num_blocks();
   blocks_.resize(static_cast<std::size_t>(q));
+  backend::detail::BlockSplitBuilder builder(a);
   for (index_t bi = 0; bi < q; ++bi) {
     BlockData& blk = blocks_[bi];
     const RowBlock range = partition_.block(bi);
-    blk.lo = range.begin;
-    blk.hi = range.end;
-    blk.work_lo = std::max<index_t>(blk.lo - overlap_, 0);
-    blk.work_hi = std::min<index_t>(blk.hi + overlap_, n);
-
-    // Pass 1: collect the halo (sorted unique columns outside the
-    // working range).
-    for (index_t i = blk.work_lo; i < blk.work_hi; ++i) {
-      for (index_t j : a.row_cols(i)) {
-        if (j < blk.work_lo || j >= blk.work_hi) blk.halo.push_back(j);
-      }
-    }
-    std::sort(blk.halo.begin(), blk.halo.end());
-    blk.halo.erase(std::unique(blk.halo.begin(), blk.halo.end()),
-                   blk.halo.end());
-
-    // Pass 2: split every working row into diagonal / local / global.
-    blk.lrow_ptr.push_back(0);
-    blk.grow_ptr.push_back(0);
-    for (index_t i = blk.work_lo; i < blk.work_hi; ++i) {
-      const auto cols = a.row_cols(i);
-      const auto vals = a.row_vals(i);
-      value_t diag = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const index_t j = cols[k];
-        if (j == i) {
-          diag = vals[k];
-        } else if (j >= blk.work_lo && j < blk.work_hi) {
-          blk.lcol.push_back(j - blk.work_lo);
-          blk.lval.push_back(vals[k]);
-        } else {
-          const auto it =
-              std::lower_bound(blk.halo.begin(), blk.halo.end(), j);
-          blk.gcol.push_back(
-              static_cast<index_t>(it - blk.halo.begin()));
-          blk.gval.push_back(vals[k]);
-        }
-      }
-      if (diag == 0.0) {
-        throw std::invalid_argument("BlockJacobiKernel: zero diagonal entry");
-      }
-      blk.diag.push_back(diag);
-      blk.lrow_ptr.push_back(static_cast<index_t>(blk.lcol.size()));
-      blk.grow_ptr.push_back(static_cast<index_t>(blk.gcol.size()));
-    }
+    blk.work_lo = std::max<index_t>(range.begin - overlap_, 0);
+    blk.work_hi = std::min<index_t>(range.end + overlap_, n);
+    builder.build(blk.work_lo, blk.work_hi, blk, "BlockJacobiKernel");
 
     // Size the sweep scratch once; update() never allocates.
     const std::size_t m = static_cast<std::size_t>(blk.work_hi - blk.work_lo);
@@ -95,48 +39,8 @@ BlockJacobiKernel::BlockJacobiKernel(const Csr& a, const Vector& b,
   }
 }
 
-void BlockJacobiKernel::set_per_block_iters(std::vector<index_t> per_block) {
-  if (static_cast<index_t>(per_block.size()) != num_blocks()) {
-    throw std::invalid_argument(
-        "set_per_block_iters: size must equal num_blocks()");
-  }
-  for (index_t k : per_block) {
-    if (k <= 0) {
-      throw std::invalid_argument(
-          "set_per_block_iters: sweep counts must be >= 1");
-    }
-  }
-  per_block_iters_ = std::move(per_block);
-}
-
-void BlockJacobiKernel::set_rhs(const Vector& b) {
-  if (static_cast<index_t>(b.size()) != num_rows()) {
-    throw std::invalid_argument("set_rhs: size must equal num_rows()");
-  }
-  b_ = &b;
-}
-
-index_t BlockJacobiKernel::block_local_iters(index_t block) const {
-  return per_block_iters_.empty()
-             ? local_iters_
-             : per_block_iters_[static_cast<std::size_t>(block)];
-}
-
-index_t BlockJacobiKernel::num_blocks() const {
-  return partition_.num_blocks();
-}
-
-index_t BlockJacobiKernel::num_rows() const {
-  return partition_.total_rows();
-}
-
 std::span<const index_t> BlockJacobiKernel::halo(index_t block) const {
   return blocks_[static_cast<std::size_t>(block)].halo;
-}
-
-std::pair<index_t, index_t> BlockJacobiKernel::rows(index_t block) const {
-  const BlockData& blk = blocks_[static_cast<std::size_t>(block)];
-  return {blk.lo, blk.hi};
 }
 
 BARS_HOT_NOALLOC void BlockJacobiKernel::update(
@@ -222,7 +126,8 @@ BARS_HOT_NOALLOC void BlockJacobiKernel::update(
   // overlapping), honoring the component fault mask (failed components
   // keep their previous value — their core is gone, Section 4.5).
   const std::vector<std::uint8_t>* mask = ctx.failed_components;
-  for (index_t gi = blk.lo; gi < blk.hi; ++gi) {
+  const auto [lo, hi] = rows(block);
+  for (index_t gi = lo; gi < hi; ++gi) {
     if (mask && (*mask)[gi]) continue;
     x[gi] = cur[gi - blk.work_lo];
   }

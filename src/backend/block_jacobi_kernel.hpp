@@ -3,6 +3,7 @@
 #include <string_view>
 #include <vector>
 
+#include "backend/block_split.hpp"
 #include "backend/kernel_backend.hpp"
 #include "gpusim/block_kernel.hpp"
 #include "sparse/csr.hpp"
@@ -30,20 +31,17 @@ namespace bars {
 /// Construct through the backend registry (backend::build_kernel or
 /// find_backend("scalar")) — bars_lint's `backend-seam` rule bans
 /// direct construction outside src/backend.
-class BlockJacobiKernel final : public backend::BlockSweepKernel {
+class BlockJacobiKernel final : public backend::detail::SweepKernelBase {
  public:
   /// Throws if `a` is not square, has a zero diagonal, or the partition
-  /// does not cover its rows.
+  /// does not cover its rows, or if a working range or its halo exceeds
+  /// the 32-bit column id range.
   BlockJacobiKernel(const Csr& a, const Vector& b, RowPartition partition,
                     index_t local_iters,
                     LocalSweep sweep = LocalSweep::kJacobi,
                     value_t local_omega = 1.0, index_t overlap = 0);
 
-  [[nodiscard]] index_t num_blocks() const override;
-  [[nodiscard]] index_t num_rows() const override;
   [[nodiscard]] std::span<const index_t> halo(index_t block) const override;
-  [[nodiscard]] std::pair<index_t, index_t> rows(
-      index_t block) const override;
 
   void update(index_t block, std::span<const value_t> halo_values,
               std::span<value_t> x,
@@ -57,60 +55,18 @@ class BlockJacobiKernel final : public backend::BlockSweepKernel {
     return overlap_ == 0;
   }
 
-  [[nodiscard]] index_t local_iters() const noexcept override {
-    return local_iters_;
-  }
-  [[nodiscard]] const RowPartition& partition() const noexcept override {
-    return partition_;
-  }
-
-  /// Override the sweep count per block (adaptive async-(k), the
-  /// paper's Section 5 tuning question): block b performs
-  /// per_block[b] local sweeps instead of the uniform local_iters.
-  /// Size must equal num_blocks(); values must be >= 1.
-  void set_per_block_iters(std::vector<index_t> per_block) override;
-
-  /// Sweeps block b will perform.
-  [[nodiscard]] index_t block_local_iters(index_t block) const override;
-
   [[nodiscard]] index_t overlap() const noexcept override { return overlap_; }
-
-  /// Repoint the right-hand side without rebuilding the per-block
-  /// analysis (halo lists, local/global splits, diagonal factors) —
-  /// those depend only on the matrix structure and partition, never on
-  /// b. This is what lets the service layer's plan cache reuse one
-  /// kernel across requests and run multi-RHS batches. The new vector
-  /// must match num_rows() and outlive all subsequent update() calls;
-  /// callers must serialize set_rhs() against concurrent update()s
-  /// (the plan cache holds a per-plan lock for exactly this reason).
-  void set_rhs(const Vector& b) override;
-
-  /// The right-hand side currently bound to the kernel.
-  [[nodiscard]] const Vector& rhs() const noexcept override { return *b_; }
 
   [[nodiscard]] std::string_view backend_name() const noexcept override {
     return "scalar";
   }
 
  private:
-  struct BlockData {
-    index_t lo = 0;       ///< owned range (committed rows)
-    index_t hi = 0;
+  /// The split of the working range (backend/block_split.hpp) plus
+  /// the range and the sweep scratch; the owned rows are rows(block).
+  struct BlockData : backend::detail::BlockSplit {
     index_t work_lo = 0;  ///< working range (owned + overlap)
     index_t work_hi = 0;
-    std::vector<index_t> halo;  ///< global indices read from outside
-
-    // Local sub-matrix (strictly off-diagonal, columns as local ids).
-    std::vector<index_t> lrow_ptr;
-    std::vector<index_t> lcol;
-    std::vector<value_t> lval;
-
-    // Global coupling (columns as positions into `halo`).
-    std::vector<index_t> grow_ptr;
-    std::vector<index_t> gcol;
-    std::vector<value_t> gval;
-
-    std::vector<value_t> diag;  ///< a_ii per local row
 
     // Reusable sweep buffers, sized to the working range at
     // construction so update() performs no per-visit heap allocation.
@@ -122,14 +78,9 @@ class BlockJacobiKernel final : public backend::BlockSweepKernel {
     mutable std::vector<value_t> scratch_b;   ///< Jacobi double buffer
   };
 
-  const Vector* b_;  ///< current RHS (never null; repointed by set_rhs)
-  RowPartition partition_;
-  index_t local_iters_;
   LocalSweep sweep_;
-  value_t omega_;
   index_t overlap_;
   std::vector<BlockData> blocks_;
-  std::vector<index_t> per_block_iters_;  ///< empty = uniform local_iters_
 };
 
 }  // namespace bars

@@ -4,6 +4,7 @@
 #include <string_view>
 #include <vector>
 
+#include "backend/block_split.hpp"
 #include "backend/kernel_backend.hpp"
 #include "gpusim/block_kernel.hpp"
 #include "sparse/csr.hpp"
@@ -97,16 +98,12 @@ void simd_update_block(const SimdBlockLayout& blk,
 /// through the backend registry; throws backend_unsupported when
 /// simd_available() is false or the configuration needs Gauss-Seidel
 /// sweeps or overlap.
-class SimdBlockSweepKernel final : public BlockSweepKernel {
+class SimdBlockSweepKernel final : public detail::SweepKernelBase {
  public:
   SimdBlockSweepKernel(const Csr& a, const Vector& b, RowPartition partition,
                        const KernelConfig& config);
 
-  [[nodiscard]] index_t num_blocks() const override;
-  [[nodiscard]] index_t num_rows() const override;
   [[nodiscard]] std::span<const index_t> halo(index_t block) const override;
-  [[nodiscard]] std::pair<index_t, index_t> rows(
-      index_t block) const override;
 
   void update(index_t block, std::span<const value_t> halo_values,
               std::span<value_t> x,
@@ -115,31 +112,14 @@ class SimdBlockSweepKernel final : public BlockSweepKernel {
   /// No overlap by construction, per-block scratch: always safe.
   [[nodiscard]] bool parallel_commit_safe() const override { return true; }
 
-  [[nodiscard]] index_t local_iters() const noexcept override {
-    return local_iters_;
-  }
-  [[nodiscard]] const RowPartition& partition() const noexcept override {
-    return partition_;
-  }
   [[nodiscard]] index_t overlap() const noexcept override { return 0; }
-
-  void set_per_block_iters(std::vector<index_t> per_block) override;
-  [[nodiscard]] index_t block_local_iters(index_t block) const override;
-
-  void set_rhs(const Vector& b) override;
-  [[nodiscard]] const Vector& rhs() const noexcept override { return *b_; }
 
   [[nodiscard]] std::string_view backend_name() const noexcept override {
     return "simd";
   }
 
  private:
-  const Vector* b_;
-  RowPartition partition_;
-  index_t local_iters_;
-  value_t omega_;
   std::vector<detail::SimdBlockLayout> blocks_;
-  std::vector<index_t> per_block_iters_;  ///< empty = uniform local_iters_
 };
 
 }  // namespace bars::backend

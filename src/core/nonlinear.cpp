@@ -1,10 +1,10 @@
 #include "core/nonlinear.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
-#include "backend/registry.hpp"
+#include "backend/block_split.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/vector_ops.hpp"
 #include "telemetry/probe.hpp"
@@ -33,76 +33,77 @@ class NonlinearBlockKernel final : public gpusim::BlockKernel {
                        const DiagonalNonlinearity& phi,
                        RowPartition partition, index_t local_iters,
                        value_t damping)
-      : linear_(backend::build_kernel("scalar", a, b, std::move(partition),
-                                      {local_iters})),
-        a_(a),
-        b_(b),
+      : b_(b),
         phi_(phi),
+        partition_(std::move(partition)),
         local_iters_(local_iters),
         damping_(damping) {
+    if (local_iters <= 0) {
+      throw std::invalid_argument(
+          "NonlinearBlockKernel: local_iters must be > 0");
+    }
     if (damping <= 0.0 || damping > 1.0) {
       throw std::invalid_argument(
           "NonlinearBlockKernel: damping must be in (0, 1]");
     }
+    // The linear split (halo positions included) is built once here;
+    // update() only reads it and the per-block scratch.
+    backend::detail::BlockSplitBuilder builder(a);
+    blocks_.resize(static_cast<std::size_t>(partition_.num_blocks()));
+    for (index_t bi = 0; bi < partition_.num_blocks(); ++bi) {
+      const RowBlock range = partition_.block(bi);
+      Block& blk = blocks_[static_cast<std::size_t>(bi)];
+      builder.build(range.begin, range.end, blk, "NonlinearBlockKernel");
+      const auto m = static_cast<std::size_t>(range.end - range.begin);
+      blk.s.resize(m);
+      blk.xl.resize(m);
+      blk.xn.resize(m);
+    }
   }
 
   [[nodiscard]] index_t num_blocks() const override {
-    return linear_->num_blocks();
+    return partition_.num_blocks();
   }
   [[nodiscard]] index_t num_rows() const override {
-    return linear_->num_rows();
+    return partition_.total_rows();
   }
   [[nodiscard]] std::span<const index_t> halo(index_t block) const override {
-    return linear_->halo(block);
+    return blocks_[static_cast<std::size_t>(block)].halo;
   }
   [[nodiscard]] std::pair<index_t, index_t> rows(
       index_t block) const override {
-    return linear_->rows(block);
+    const RowBlock range = partition_.block(block);
+    return {range.begin, range.end};
   }
 
   void update(index_t block, std::span<const value_t> halo_values,
               std::span<value_t> x,
               const gpusim::ExecContext& ctx) const override {
+    const Block& blk = blocks_[static_cast<std::size_t>(block)];
     const auto [lo, hi] = rows(block);
-    const auto halo_idx = halo(block);
     const index_t m = hi - lo;
+    value_t* s = blk.s.data();
+    value_t* xl = blk.xl.data();
+    value_t* xn = blk.xn.data();
 
     // Frozen off-block linear contribution s_i = b_i - sum_out a_ij x_j.
-    Vector s(static_cast<std::size_t>(m));
-    for (index_t i = lo; i < hi; ++i) {
-      value_t acc = b_[i];
-      const auto cols = a_.row_cols(i);
-      const auto vals = a_.row_vals(i);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const index_t j = cols[k];
-        if (j < lo || j >= hi) {
-          // Halo value lookup: halo_idx is sorted.
-          const auto it =
-              std::lower_bound(halo_idx.begin(), halo_idx.end(), j);
-          acc -= vals[k] *
-                 halo_values[static_cast<std::size_t>(it - halo_idx.begin())];
-        }
+    for (index_t li = 0; li < m; ++li) {
+      value_t acc = b_[lo + li];
+      for (index_t k = blk.grow_ptr[li]; k < blk.grow_ptr[li + 1]; ++k) {
+        acc -= blk.gval[k] * halo_values[blk.gcol[k]];
       }
-      s[i - lo] = acc;
+      s[li] = acc;
     }
 
-    Vector xl(x.begin() + lo, x.begin() + hi);
+    std::copy(x.begin() + lo, x.begin() + hi, xl);
     for (index_t sweep = 0; sweep < local_iters_; ++sweep) {
-      Vector xn(xl);
-      for (index_t i = lo; i < hi; ++i) {
-        const index_t li = i - lo;
+      for (index_t li = 0; li < m; ++li) {
         value_t acc = s[li];
-        value_t diag = 0.0;
-        const auto cols = a_.row_cols(i);
-        const auto vals = a_.row_vals(i);
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          const index_t j = cols[k];
-          if (j == i) {
-            diag = vals[k];
-          } else if (j >= lo && j < hi) {
-            acc -= vals[k] * xl[j - lo];
-          }
+        for (index_t k = blk.lrow_ptr[li]; k < blk.lrow_ptr[li + 1]; ++k) {
+          acc -= blk.lval[k] * xl[blk.lcol[k]];
         }
+        const index_t i = lo + li;
+        const value_t diag = blk.diag[li];
         const value_t jac = diag + phi_.derivative(i, xl[li]);
         if (jac <= 0.0) {
           throw std::domain_error(
@@ -111,7 +112,7 @@ class NonlinearBlockKernel final : public gpusim::BlockKernel {
         const value_t f = acc - diag * xl[li] - phi_.value(i, xl[li]);
         xn[li] = xl[li] + damping_ * f / jac;
       }
-      xl = std::move(xn);
+      std::swap(xl, xn);
     }
 
     const std::vector<std::uint8_t>* mask = ctx.failed_components;
@@ -122,14 +123,21 @@ class NonlinearBlockKernel final : public gpusim::BlockKernel {
   }
 
  private:
-  /// Reused for partition/halo bookkeeping only; built through the
-  /// scalar backend (the nonlinear sweep itself is hand-rolled above).
-  std::unique_ptr<backend::BlockSweepKernel> linear_;
-  const Csr& a_;
+  /// The block's linear split plus its sweep scratch, sized once;
+  /// distinct blocks never share scratch, so concurrent updates of
+  /// distinct blocks stay race-free.
+  struct Block : backend::detail::BlockSplit {
+    mutable Vector s;   ///< frozen s_i
+    mutable Vector xl;  ///< sweep iterate
+    mutable Vector xn;  ///< next sweep iterate
+  };
+
   const Vector& b_;
   const DiagonalNonlinearity& phi_;
+  RowPartition partition_;
   index_t local_iters_;
   value_t damping_;
+  std::vector<Block> blocks_;
 };
 
 }  // namespace

@@ -246,12 +246,26 @@ ExecutorResult AsyncExecutor::run(
     const auto [lo, hi] = kernel_.rows(s);
     for (index_t i = lo; i < hi; ++i) owner[static_cast<std::size_t>(i)] = s;
   }
+  // Each halo splits into maximal runs of consecutive rows (a sorted
+  // halo of a banded or block-structured matrix has few, long ones); the
+  // READ snapshot copies whole runs instead of gathering row by row.
+  struct HaloRun {
+    index_t first;  ///< first global row of the run
+    index_t count;
+  };
   std::vector<std::vector<index_t>> halo_sources(static_cast<std::size_t>(q));
+  std::vector<std::vector<HaloRun>> halo_runs(static_cast<std::size_t>(q));
   for (index_t b = 0; b < q; ++b) {
     std::vector<index_t>& src = halo_sources[b];
+    std::vector<HaloRun>& runs = halo_runs[b];
     for (index_t gi : kernel_.halo(b)) {
       const index_t o = owner[static_cast<std::size_t>(gi)];
       if (o >= 0 && o != b) src.push_back(o);
+      if (!runs.empty() && runs.back().first + runs.back().count == gi) {
+        ++runs.back().count;
+      } else {
+        runs.push_back({gi, 1});
+      }
     }
     std::sort(src.begin(), src.end());
     src.erase(std::unique(src.begin(), src.end()), src.end());
@@ -626,10 +640,12 @@ ExecutorResult AsyncExecutor::run(
       case EventKind::kRead: {
         // Snapshot halo values at virtual time `now` (mid-execution).
         const Vector& view = view_of(d);
-        const auto halo = kernel_.halo(b);
         Vector& snap = halo_snapshot[b];
-        snap.resize(halo.size());
-        for (std::size_t i = 0; i < halo.size(); ++i) snap[i] = view[halo[i]];
+        snap.resize(kernel_.halo(b).size());
+        value_t* dst = snap.data();
+        for (const HaloRun& run : halo_runs[b]) {
+          dst = std::copy_n(view.data() + run.first, run.count, dst);
+        }
         if (timeline) timeline->maybe_corrupt_halo(snap);
         // Staleness diagnostic: generation gap to each halo source.
         index_t read_staleness = 0;

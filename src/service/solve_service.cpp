@@ -59,6 +59,7 @@ SolveService::SolveService(ServiceOptions opts)
     static constexpr value_t kLatencyBuckets[] = {1e-4, 1e-3, 1e-2,
                                                   1e-1, 1.0,  10.0};
     m_queue_seconds_ = &m.histogram("service_queue_seconds", kLatencyBuckets);
+    m_plan_seconds_ = &m.histogram("service_plan_seconds", kLatencyBuckets);
     m_solve_seconds_ = &m.histogram("service_solve_seconds", kLatencyBuckets);
   }
 
@@ -326,16 +327,20 @@ void SolveService::execute_batch(std::vector<AttemptPtr> batch) {
 
   std::shared_ptr<SolvePlan> plan;
   bool cache_hit = false;
+  value_t plan_seconds = 0.0;
   const Attempt& first = *batch.front();
   if (first.rs->plan_path) {
     const char* inject = nullptr;
     if (opts_.chaos != nullptr && opts_.chaos->plan_failure_active()) {
       inject = "injected plan-construction failure (chaos)";
     }
+    const Clock::time_point acquire_start = Clock::now();
     plan = cache_.acquire(first.rs->fingerprint, *first.rs->req.matrix,
                           first.rs->config, &cache_hit, inject);
+    plan_seconds = seconds_between(acquire_start, Clock::now());
     if (inject != nullptr && !cache_hit) opts_.chaos->count_plan_failure();
     common::MutexLock lock(mu_);
+    if (m_plan_seconds_ != nullptr) m_plan_seconds_->record(plan_seconds);
     if (cache_hit) {
       if (m_cache_hits_ != nullptr) m_cache_hits_->inc();
     } else if (m_cache_misses_ != nullptr) {
@@ -346,18 +351,21 @@ void SolveService::execute_batch(std::vector<AttemptPtr> batch) {
     }
   }
   for (const auto& p : batch) {
-    run_one(*p, plan, cache_hit, batch.size());
+    run_one(*p, plan, cache_hit, plan_seconds, batch.size());
   }
 }
 
 void SolveService::run_one(Attempt& p, const std::shared_ptr<SolvePlan>& plan,
-                           bool cache_hit, std::size_t batch_size) {
+                           bool cache_hit, value_t plan_seconds,
+                           std::size_t batch_size) {
   SolveResponse resp;
   resp.plan_cache_hit = p.rs->plan_path && cache_hit;
   resp.batch_size = batch_size;
   resp.batched = batch_size > 1;
+  // This worker set `dispatched` before execute_batch; queueing ends there.
+  resp.queue_seconds = seconds_between(p.enqueued, p.dispatched);
+  resp.plan_seconds = plan_seconds;
   const Clock::time_point start = Clock::now();
-  resp.queue_seconds = seconds_between(p.enqueued, start);
 
   if (p.token.requested()) {
     // Cancelled or expired while queued: never dispatch the solver.

@@ -119,8 +119,12 @@ struct SolveResponse {
   bool plan_cache_hit = false;
   bool batched = false;          ///< fused with other same-plan requests
   std::size_t batch_size = 1;    ///< requests in the fused batch (>= 1)
-  value_t queue_seconds = 0.0;   ///< submit -> dispatch
-  value_t solve_seconds = 0.0;   ///< dispatch -> completion
+  value_t queue_seconds = 0.0;   ///< submit -> dispatch to a worker
+  /// Plan-cache acquire after dispatch: the lookup, and on a miss the
+  /// kernel build. Every request of a fused batch reports the batch's
+  /// one acquire; 0 off the plan path.
+  value_t plan_seconds = 0.0;
+  value_t solve_seconds = 0.0;   ///< solver start -> completion
   std::string error;             ///< kFailed: what the solver threw
   /// The solver that produced `result` (may differ from the requested
   /// one when a fallback chain kicked in).
@@ -360,7 +364,7 @@ class SolveService {
   void supervisor_loop();
   void execute_batch(std::vector<AttemptPtr> batch);
   void run_one(Attempt& p, const std::shared_ptr<SolvePlan>& plan,
-               bool cache_hit, std::size_t batch_size);
+               bool cache_hit, value_t plan_seconds, std::size_t batch_size);
   void finish(Attempt& p, SolveResponse&& resp);
   /// Decide what to do with a failed attempt: park for retry, switch
   /// to a fallback solver, or surface the failure. Returns true when
@@ -415,6 +419,7 @@ class SolveService {
   telemetry::Gauge* m_cache_size_ = nullptr;
   telemetry::Gauge* m_shed_active_ = nullptr;
   telemetry::Histogram* m_queue_seconds_ = nullptr;
+  telemetry::Histogram* m_plan_seconds_ = nullptr;
   telemetry::Histogram* m_solve_seconds_ = nullptr;
 
   std::vector<common::Thread> workers_;

@@ -19,7 +19,9 @@
 #include "backend/simd_kernel.hpp"
 #include "core/block_async.hpp"
 #include "matrices/generators.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/partition.hpp"
+#include "stats/rng.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace bars::backend {
@@ -49,6 +51,28 @@ class UnavailableBackend final : public KernelBackend {
  private:
   std::string name_;
 };
+
+/// Diagonally dominant matrix with a seeded random pattern: up to five
+/// off-diagonal entries per row, plus couplings to columns 0 and n - 1.
+Csr random_pattern(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Coo c(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    value_t off = 0.0;
+    const auto add = [&](index_t j) {
+      if (j == i) return;
+      const value_t v = -rng.uniform(0.1, 1.0);
+      c.add(i, j, v);
+      off -= v;
+    };
+    const index_t count = rng.uniform_int(0, 5);
+    for (index_t t = 0; t < count; ++t) add(rng.uniform_int(0, n - 1));
+    if (i % 5 == 2) add(0);
+    if (i % 7 == 3) add(n - 1);
+    c.add(i, i, off + 1.0);
+  }
+  return Csr::from_coo(c);
+}
 
 // ------------------------------------------------------------ registry
 
@@ -266,6 +290,93 @@ TEST(BackendKernel, ScalarAndSimdAgreeWithinDocumentedTolerance) {
       const value_t scale = std::max(std::abs(rs.solve.x[i]), value_t(1));
       EXPECT_NEAR(rs.solve.x[i], rv.solve.x[i], 1e-12 * scale) << "i=" << i;
     }
+  }
+}
+
+TEST(BackendKernel, SimdHaloAndSweepMatchScalarOnRandomPatterns) {
+  if (!simd_available()) {
+    GTEST_SKIP() << "AVX2+FMA not available on this machine/build";
+  }
+  // Sizes around the 64-column words of the halo bitmap; block sizes
+  // giving one-row blocks, a ragged last block and partial lane groups.
+  for (const index_t n : {1, 2, 63, 64, 65, 130, 203}) {
+    const Csr a = random_pattern(n, 2000 + static_cast<std::uint64_t>(n));
+    Vector b(static_cast<std::size_t>(n));
+    Vector x0(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) {
+      b[i] = 1.0 + 0.01 * static_cast<value_t>(i);
+      x0[i] = std::sin(static_cast<value_t>(i));
+    }
+    for (const index_t bs : {1, 7, 64}) {
+      const RowPartition part = RowPartition::uniform(n, bs);
+      const KernelConfig config{/*local_iters=*/3};
+      const BlockJacobiKernel ks(a, b, part, config.local_iters);
+      const SimdBlockSweepKernel kv(a, b, part, config);
+      for (index_t blk = 0; blk < ks.num_blocks(); ++blk) {
+        const auto [lo, hi] = ks.rows(blk);
+        std::vector<index_t> ref;
+        for (index_t i = lo; i < hi; ++i) {
+          for (index_t j : a.row_cols(i)) {
+            if (j < lo || j >= hi) ref.push_back(j);
+          }
+        }
+        std::sort(ref.begin(), ref.end());
+        ref.erase(std::unique(ref.begin(), ref.end()), ref.end());
+        const auto hs = ks.halo(blk);
+        const auto hv = kv.halo(blk);
+        ASSERT_EQ(std::vector<index_t>(hs.begin(), hs.end()), ref)
+            << "n=" << n << " bs=" << bs << " block=" << blk;
+        ASSERT_EQ(std::vector<index_t>(hv.begin(), hv.end()), ref)
+            << "n=" << n << " bs=" << bs << " block=" << blk;
+        // Three sweeps from the same fresh snapshot agree row by row.
+        Vector snap(ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) snap[i] = x0[ref[i]];
+        Vector xs = x0;
+        Vector xv = x0;
+        ks.update(blk, snap, xs, {});
+        kv.update(blk, snap, xv, {});
+        for (index_t i = lo; i < hi; ++i) {
+          EXPECT_NEAR(xs[i], xv[i], 1e-12 * std::max(1.0, std::abs(xs[i])))
+              << "n=" << n << " bs=" << bs << " row=" << i;
+        }
+      }
+      BlockAsyncOptions o;
+      o.block_size = bs;
+      o.local_iters = config.local_iters;
+      o.solve.max_iters = 500;
+      o.solve.tol = 1e-10;
+      BlockJacobiKernel ks_solve(a, b, part, config.local_iters);
+      SimdBlockSweepKernel kv_solve(a, b, part, config);
+      const BlockAsyncResult rs = block_async_solve_with_kernel(a, b, ks_solve, o);
+      const BlockAsyncResult rv = block_async_solve_with_kernel(a, b, kv_solve, o);
+      ASSERT_TRUE(rs.solve.ok()) << "n=" << n << " bs=" << bs;
+      ASSERT_TRUE(rv.solve.ok()) << "n=" << n << " bs=" << bs;
+      for (std::size_t i = 0; i < rs.solve.x.size(); ++i) {
+        EXPECT_NEAR(rs.solve.x[i], rv.solve.x[i],
+                    1e-10 * std::max(1.0, std::abs(rs.solve.x[i])))
+            << "n=" << n << " bs=" << bs << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(BackendKernel, ZeroDiagonalThrowsOnEveryBackend) {
+  const Csr good = random_pattern(130, 7);
+  std::vector<value_t> vals(good.values().begin(), good.values().end());
+  for (index_t k = good.row_ptr()[77]; k < good.row_ptr()[78]; ++k) {
+    if (good.col_idx()[k] == 77) vals[static_cast<std::size_t>(k)] = 0.0;
+  }
+  const Csr a(good.rows(), good.cols(),
+              std::vector<index_t>(good.row_ptr().begin(), good.row_ptr().end()),
+              std::vector<index_t>(good.col_idx().begin(), good.col_idx().end()),
+              std::move(vals));
+  const Vector b(130, 1.0);
+  for (const std::string& name : backend_names()) {
+    if (!find_backend(name).available()) continue;
+    EXPECT_THROW((void)build_kernel(name, a, b, RowPartition::uniform(130, 64),
+                                    {/*local_iters=*/1}),
+                 std::invalid_argument)
+        << name;
   }
 }
 

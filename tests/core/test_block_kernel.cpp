@@ -2,11 +2,64 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/jacobi.hpp"
 #include "matrices/generators.hpp"
+#include "sparse/coo.hpp"
+#include "stats/rng.hpp"
 
 namespace bars {
 namespace {
+
+/// Diagonally dominant matrix with a seeded random pattern: up to five
+/// off-diagonal entries per row, plus couplings to columns 0 and n - 1.
+Csr random_pattern(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Coo c(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    value_t off = 0.0;
+    const auto add = [&](index_t j) {
+      if (j == i) return;
+      const value_t v = -rng.uniform(0.1, 1.0);
+      c.add(i, j, v);
+      off -= v;
+    };
+    const index_t count = rng.uniform_int(0, 5);
+    for (index_t t = 0; t < count; ++t) add(rng.uniform_int(0, n - 1));
+    if (i % 5 == 2) add(0);
+    if (i % 7 == 3) add(n - 1);
+    c.add(i, i, off + 1.0);
+  }
+  return Csr::from_coo(c);
+}
+
+/// Sorted unique columns of rows [lo, hi) that fall outside [lo, hi).
+std::vector<index_t> reference_halo(const Csr& a, index_t lo, index_t hi) {
+  std::vector<index_t> h;
+  for (index_t i = lo; i < hi; ++i) {
+    for (index_t j : a.row_cols(i)) {
+      if (j < lo || j >= hi) h.push_back(j);
+    }
+  }
+  std::sort(h.begin(), h.end());
+  h.erase(std::unique(h.begin(), h.end()), h.end());
+  return h;
+}
+
+/// `a` with row r's stored diagonal set to zero.
+Csr zero_diagonal_at(const Csr& a, index_t r) {
+  std::vector<value_t> vals(a.values().begin(), a.values().end());
+  for (index_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+    if (a.col_idx()[k] == r) vals[static_cast<std::size_t>(k)] = 0.0;
+  }
+  return Csr(a.rows(), a.cols(),
+             std::vector<index_t>(a.row_ptr().begin(), a.row_ptr().end()),
+             std::vector<index_t>(a.col_idx().begin(), a.col_idx().end()),
+             std::move(vals));
+}
 
 TEST(BlockKernel, HaloContainsExactlyOffBlockColumns) {
   const Csr a = poisson1d(12);
@@ -153,6 +206,64 @@ TEST(BlockKernel, RejectsInvalidConstruction) {
   EXPECT_THROW(BlockJacobiKernel(Csr::from_coo(zc), b2,
                                  RowPartition::uniform(2, 2), 1),
                std::invalid_argument);
+}
+
+TEST(BlockKernel, HaloAndSplitMatchBruteForceOnRandomPatterns) {
+  // Sizes around the 64-column words of the halo bitmap; block sizes
+  // giving one-row blocks and a ragged last block; every overlap 0..3.
+  for (const index_t n : {1, 2, 63, 64, 65, 130, 203}) {
+    const Csr a = random_pattern(n, 1000 + static_cast<std::uint64_t>(n));
+    Vector b(static_cast<std::size_t>(n));
+    Vector x0(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) {
+      b[i] = 1.0 + 0.01 * static_cast<value_t>(i);
+      x0[i] = std::sin(static_cast<value_t>(i));
+    }
+    for (const index_t bs : {1, 7, 64}) {
+      for (index_t overlap = 0; overlap <= 3; ++overlap) {
+        const BlockJacobiKernel k(a, b, RowPartition::uniform(n, bs), 1,
+                                  LocalSweep::kJacobi, 1.0, overlap);
+        for (index_t blk = 0; blk < k.num_blocks(); ++blk) {
+          const auto [lo, hi] = k.rows(blk);
+          const auto halo = k.halo(blk);
+          ASSERT_EQ(std::vector<index_t>(halo.begin(), halo.end()),
+                    reference_halo(a, std::max<index_t>(lo - overlap, 0),
+                                   std::min<index_t>(hi + overlap, n)))
+              << "n=" << n << " bs=" << bs << " overlap=" << overlap
+              << " block=" << blk;
+          // One sweep from a fresh snapshot is one Jacobi step on the
+          // owned rows — only if every halo position names its column.
+          Vector hv(halo.size());
+          for (std::size_t i = 0; i < halo.size(); ++i) hv[i] = x0[halo[i]];
+          Vector x = x0;
+          k.update(blk, hv, x, {});
+          for (index_t i = lo; i < hi; ++i) {
+            value_t acc = b[i];
+            const auto cols = a.row_cols(i);
+            const auto vals = a.row_vals(i);
+            for (std::size_t e = 0; e < cols.size(); ++e) {
+              if (cols[e] != i) acc -= vals[e] * x0[cols[e]];
+            }
+            const value_t ref = acc / a.at(i, i);
+            EXPECT_NEAR(x[i], ref, 1e-12 * std::max(1.0, std::abs(ref)))
+                << "n=" << n << " bs=" << bs << " overlap=" << overlap
+                << " row=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockKernel, ZeroDiagonalThrowsInAnyBlock) {
+  const Csr a = zero_diagonal_at(random_pattern(130, 7), 77);
+  const Vector b(130, 1.0);
+  for (index_t overlap = 0; overlap <= 3; ++overlap) {
+    EXPECT_THROW(BlockJacobiKernel(a, b, RowPartition::uniform(130, 64), 1,
+                                   LocalSweep::kJacobi, 1.0, overlap),
+                 std::invalid_argument)
+        << "overlap=" << overlap;
+  }
 }
 
 TEST(BlockKernel, RowsReportsPartition) {

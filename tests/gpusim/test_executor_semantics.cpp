@@ -164,5 +164,68 @@ TEST(ExecutorSemantics, ShuffledPolicyStillConverges) {
   EXPECT_TRUE(r.ok());
 }
 
+/// Four 5-row blocks over 20 rows with hand-scattered halos: runs of
+/// length 1, runs one row apart, a run ending at row n - 1, one long
+/// run spanning two owners, and an empty halo. update() checks that the
+/// snapshot holds x[halo[i]] at every position, then moves its rows so
+/// later snapshots see new values.
+class ScatteredHaloKernel final : public BlockKernel {
+ public:
+  [[nodiscard]] index_t num_blocks() const override { return 4; }
+  [[nodiscard]] index_t num_rows() const override { return 20; }
+  [[nodiscard]] std::span<const index_t> halo(index_t block) const override {
+    return halos_[static_cast<std::size_t>(block)];
+  }
+  [[nodiscard]] std::pair<index_t, index_t> rows(
+      index_t block) const override {
+    return {5 * block, 5 * block + 5};
+  }
+  void update(index_t block, std::span<const value_t> halo_values,
+              std::span<value_t> x, const ExecContext&) const override {
+    const auto halo_idx = halo(block);
+    EXPECT_EQ(halo_values.size(), halo_idx.size());
+    value_t sum = 0.0;
+    for (std::size_t i = 0; i < halo_idx.size(); ++i) {
+      EXPECT_EQ(halo_values[i], x[halo_idx[i]])
+          << "block " << block << " halo position " << i;
+      sum += halo_values[i];
+    }
+    const auto [lo, hi] = rows(block);
+    for (index_t i = lo; i < hi; ++i) {
+      x[i] = 0.5 * x[i] + 0.01 * sum + static_cast<value_t>(i);
+    }
+    ++updates;
+  }
+  mutable index_t updates = 0;
+
+ private:
+  std::vector<std::vector<index_t>> halos_ = {
+      {7, 9, 10, 11, 13, 14, 18, 19},
+      {0, 2, 3, 11, 13, 19},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+      {}};
+};
+
+TEST(ExecutorSemantics, HaloSnapshotCopiesEveryRunExactly) {
+  // One slot: no write lands between a block's READ and its WRITE, so
+  // the snapshot must still equal x at the halo rows inside update().
+  const ScatteredHaloKernel kernel;
+  for (const SchedulePolicy policy :
+       {SchedulePolicy::kRoundRobin, SchedulePolicy::kShuffled}) {
+    ExecutorOptions o;
+    o.concurrent_slots = 1;
+    o.policy = policy;
+    o.stopping.max_global_iters = 6;
+    o.stopping.tol = 0.0;
+    AsyncExecutor ex(kernel, o);
+    Vector x(20);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = 1.0 + static_cast<value_t>(i);
+    }
+    (void)ex.run(x, [](const Vector&) { return 1.0; });
+  }
+  EXPECT_GE(kernel.updates, 2 * 6 * 4);
+}
+
 }  // namespace
 }  // namespace bars::gpusim

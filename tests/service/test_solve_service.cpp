@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/registry.hpp"
 #include "matrices/generators.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
@@ -292,6 +293,56 @@ TEST(SolveService, RecordsServiceMetrics) {
   EXPECT_EQ(metrics.counter("service_plan_cache_misses").value(), 1u);
   EXPECT_EQ(metrics.histogram("service_solve_seconds", {}).total(), 2u);
   EXPECT_EQ(metrics.gauge("service_plan_cache_size").value(), 1.0);
+}
+
+/// The scalar backend behind a fixed delay, so a plan build takes at
+/// least kSlowBuild and cannot hide in a timing figure.
+constexpr auto kSlowBuild = milliseconds(150);
+class SlowBuildBackend final : public backend::KernelBackend {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "slow-build-test";
+  }
+  [[nodiscard]] backend::BackendCaps caps() const noexcept override {
+    return {};
+  }
+  [[nodiscard]] bool available() const noexcept override { return true; }
+  [[nodiscard]] std::unique_ptr<backend::BlockSweepKernel> make_kernel(
+      const Csr& a, const Vector& b, RowPartition partition,
+      const backend::KernelConfig& config) const override {
+    std::this_thread::sleep_for(kSlowBuild);
+    return backend::find_backend("scalar").make_kernel(
+        a, b, std::move(partition), config);
+  }
+};
+
+TEST(SolveService, PlanBuildIsPlanTimeNotQueueTime) {
+  static const bool registered = [] {
+    backend::register_backend(std::make_unique<SlowBuildBackend>());
+    return true;
+  }();
+  ASSERT_TRUE(registered);
+  telemetry::MetricsRegistry metrics;
+  ServiceOptions so;
+  so.num_workers = 1;
+  so.metrics = &metrics;
+  SolveService svc(so);
+
+  auto req = small_request(shared_fv(8, 0.5));
+  req.options.backend = "slow-build-test";
+  const double slow = std::chrono::duration<double>(kSlowBuild).count();
+  const SolveResponse cold = svc.solve(req);
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_FALSE(cold.plan_cache_hit);
+  EXPECT_GE(cold.plan_seconds, slow);
+  EXPECT_LT(cold.queue_seconds, slow);
+
+  const SolveResponse hot = svc.solve(req);
+  ASSERT_TRUE(hot.ok()) << hot.error;
+  EXPECT_TRUE(hot.plan_cache_hit);
+  EXPECT_LT(hot.plan_seconds, slow);
+  svc.shutdown();  // joins workers: safe to read the registry now
+  EXPECT_EQ(metrics.histogram("service_plan_seconds", {}).total(), 2u);
 }
 
 TEST(SolveService, PerRequestObserverSeesTheSolve) {
