@@ -1,22 +1,34 @@
-/// Bit-identity probe: solves a fixed grid of block-async configurations
-/// and prints one line per configuration, `<config> <hash>`, where the
-/// hash is 64-bit FNV-1a over the iterate's bits, the iteration count,
-/// the status, the final residual's bits, the per-block execution counts
-/// and the max staleness. Two builds whose outputs are byte-identical
-/// produced bit-identical solves on every configuration; `diff` of two
-/// outputs names the configurations that changed.
+/// Bit-identity probe: solves a fixed grid of configurations and prints
+/// one line per configuration, `<config> <hash>`, where the hash is
+/// 64-bit FNV-1a over the iterate's bits, the iteration count, the
+/// status, the final residual's bits, the residual and time histories,
+/// and for block-async runs the per-block execution counts and the max
+/// staleness. Two builds whose outputs are byte-identical produced
+/// bit-identical solves on every configuration; `diff` of two outputs
+/// names the configurations that changed.
 ///
-/// Grid: Trefethen_2000 and fv_like(40, fv1-class) × block 64/448 ×
-/// async-(1)/(5) × local Jacobi/Gauss-Seidel × overlap 0/3 × the three
-/// schedule policies × {plain, corrupt_halo + fail_components} ×
-/// backend scalar/auto, then AMC, DC and DK on 2 devices. "auto" falls
-/// back to scalar where the SIMD backend cannot express the
-/// configuration (Gauss-Seidel, overlap), so those lines repeat the
-/// scalar hash by design.
+/// Grid:
+///  - block-async: Trefethen_2000, fv_like(40, fv1-class) and a
+///    Trefethen_2000 with perturbed off-diagonals × block 64/448 ×
+///    async-(1)/(5) × local Jacobi/Gauss-Seidel × overlap 0/3 × the
+///    three schedule policies × {plain, corrupt_halo + fail_components}
+///    × backend scalar/auto, then AMC, DC and DK on 2 devices. "auto"
+///    falls back to scalar where the SIMD backend cannot express the
+///    configuration (Gauss-Seidel, overlap), so those lines repeat the
+///    scalar hash by design. On the first two matrices every
+///    off-diagonal product is exact; the perturbed one's are not, so
+///    only its "auto" lines test the SIMD kernel's FMA path.
+///  - every registry solver except the nondeterministic thread-async,
+///    on fv_like(15) (which the multigrid entries need), converging and
+///    on a splitting that diverges;
+///  - nonlinear_block_async_solve and nonlinear_jacobi_solve with a
+///    cubic nonlinearity.
 ///
 /// Flags: --grid=full|smoke  (smoke: the 8 fv_like, block 64, async-(5),
-///                            overlap 0, shuffled configurations; the
-///                            ctest determinism check runs it twice)
+///                            overlap 0, shuffled block-async
+///                            configurations plus the registry and
+///                            nonlinear lines; the ctest determinism
+///                            check runs it twice)
 ///
 /// Compare two builds: run each build's probe and `diff` the outputs.
 
@@ -29,6 +41,8 @@
 #include <vector>
 
 #include "core/block_async.hpp"
+#include "core/nonlinear.hpp"
+#include "core/registry.hpp"
 #include "matrices/generators.hpp"
 
 using namespace bars;
@@ -53,16 +67,26 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-std::uint64_t hash_result(const BlockAsyncResult& r) {
-  Fnv1a h;
-  h.bytes(r.solve.x.data(), r.solve.x.size() * sizeof(value_t));
-  h.value(r.solve.iterations);
-  h.value(static_cast<int>(r.solve.status));
-  h.value(r.solve.final_residual);
-  h.bytes(r.block_executions.data(),
-          r.block_executions.size() * sizeof(index_t));
-  h.value(r.max_staleness);
-  return h.digest();
+template <class T>
+void hash_vector(Fnv1a& h, const std::vector<T>& v) {
+  h.value(v.size());
+  h.bytes(v.data(), v.size() * sizeof(T));
+}
+
+void hash_solve(Fnv1a& h, const SolveResult& r) {
+  hash_vector(h, r.x);
+  h.value(r.iterations);
+  h.value(static_cast<int>(r.status));
+  h.value(r.final_residual);
+  hash_vector(h, r.residual_history);
+  hash_vector(h, r.time_history);
+}
+
+void print(const std::string& config, const Fnv1a& h) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h.digest()));
+  std::cout << config << ' ' << hex << '\n';
 }
 
 struct Problem {
@@ -73,10 +97,95 @@ struct Problem {
 void emit(const std::string& config, const Csr& a, const BlockAsyncOptions& o) {
   const Vector b = bench::unit_rhs(a.rows());
   const BlockAsyncResult r = block_async_solve(a, b, o);
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(hash_result(r)));
-  std::cout << config << ' ' << hex << '\n';
+  Fnv1a h;
+  hash_solve(h, r.solve);
+  hash_vector(h, r.block_executions);
+  h.value(r.max_staleness);
+  print(config, h);
+}
+
+/// Trefethen_n with every off-diagonal scaled by a factor in [0.8, 1.2)
+/// drawn from its position: the products a_ij x_j are no longer exact.
+Csr perturbed_trefethen(index_t n) {
+  const Csr t = trefethen(n);
+  std::vector<value_t> vals(t.values().begin(), t.values().end());
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t k = t.row_ptr()[i]; k < t.row_ptr()[i + 1]; ++k) {
+      const index_t j = t.col_idx()[k];
+      if (j == i) continue;
+      vals[k] *= 0.8 + 0.4 * static_cast<value_t>((i * 7919 + j * 104729) %
+                                                   1000) / 1000.0;
+    }
+  }
+  return {n,
+          n,
+          {t.row_ptr().begin(), t.row_ptr().end()},
+          {t.col_idx().begin(), t.col_idx().end()},
+          std::move(vals)};
+}
+
+/// Every registry solver but thread-async (its schedule is the host's),
+/// on a system where all of them converge and on one where the
+/// splitting diverges. A solver that rejects the system prints the
+/// exception instead of a hash.
+void emit_registry() {
+  const std::vector<std::pair<const char*, Csr>> systems = {
+      {"fv15", fv_like(15, 0.8)}, {"fv15neg", fv_like(15, -1.5)}};
+  for (const auto& [sys, a] : systems) {
+    const Vector b = bench::unit_rhs(a.rows());
+    RegistrySolveOptions o;
+    o.solve.max_iters = 400;
+    o.solve.tol = 1e-10;
+    o.solve.divergence_limit = 1e3;
+    o.block_size = 32;
+    o.local_iters = 2;
+    for (const std::string& name : solver_names()) {
+      if (name == "thread-async") continue;
+      const std::string config = std::string("registry ") + sys + " " + name;
+      try {
+        Fnv1a h;
+        hash_solve(h, find_solver(name)(a, b, o));
+        print(config, h);
+      } catch (const std::exception& e) {
+        std::cout << config << " threw " << e.what() << '\n';
+      }
+    }
+  }
+}
+
+void emit_nonlinear() {
+  const Csr a = fv_like(15, 0.8);
+  const Vector b = bench::unit_rhs(a.rows());
+  const DiagonalNonlinearity phi = cubic_nonlinearity(0.5);
+  for (const index_t block : {16, 64}) {
+    for (const index_t k : {1, 3}) {
+      for (const auto& [pname, policy] :
+           {std::pair{"rr", gpusim::SchedulePolicy::kRoundRobin},
+            std::pair{"jit", gpusim::SchedulePolicy::kJittered},
+            std::pair{"shuf", gpusim::SchedulePolicy::kShuffled}}) {
+        NonlinearAsyncOptions o;
+        o.solve.max_iters = 400;
+        o.solve.tol = 1e-10;
+        o.block_size = block;
+        o.local_iters = k;
+        o.policy = policy;
+        const NonlinearAsyncResult r =
+            nonlinear_block_async_solve(a, b, phi, o);
+        Fnv1a h;
+        hash_solve(h, r.solve);
+        hash_vector(h, r.block_executions);
+        print("nonlinear-block-async fv15 b" + std::to_string(block) + " k" +
+                  std::to_string(k) + " " + pname,
+              h);
+      }
+    }
+  }
+  SolveOptions so;
+  so.max_iters = 400;
+  so.tol = 1e-10;
+  Fnv1a h;
+  hash_solve(h, nonlinear_jacobi_solve(a, b, phi, so));
+  print("nonlinear-jacobi fv15", h);
 }
 
 BlockAsyncOptions base_options() {
@@ -104,6 +213,7 @@ int main(int argc, char** argv) {
   std::vector<Problem> problems;
   if (full) problems.push_back({"trefethen2000", trefethen(2000)});
   problems.push_back({"fv40", fv_like(40, fv_reaction_for_rho(40, 0.8541))});
+  if (full) problems.push_back({"trefethen2000p", perturbed_trefethen(2000)});
 
   const std::vector<index_t> blocks =
       full ? std::vector<index_t>{64, 448} : std::vector<index_t>{64};
@@ -156,6 +266,9 @@ int main(int argc, char** argv) {
       }
     }
   }
+
+  emit_registry();
+  emit_nonlinear();
 
   if (!full) return 0;
   const std::vector<std::pair<const char*, gpusim::TransferScheme>> schemes = {

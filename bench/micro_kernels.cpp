@@ -67,7 +67,7 @@ void BM_AsyncGlobalIteration(benchmark::State& state) {
                                  5);
   for (auto _ : state) {
     gpusim::ExecutorOptions o;
-    o.stopping.max_global_iters = 10;
+    o.stopping.max_iters = 10;
     o.stopping.tol = 0.0;
     gpusim::AsyncExecutor ex(kernel, o);
     Vector x(b.size(), 0.0);

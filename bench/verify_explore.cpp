@@ -99,7 +99,7 @@ Gate gate_executor_exhaustive() {
   };
 
   gpusim::ExecutorOptions o;
-  o.stopping.max_global_iters = 2;
+  o.stopping.max_iters = 2;
   o.stopping.tol = 1e-30;
   o.policy = gpusim::SchedulePolicy::kRoundRobin;
   o.concurrent_slots = 4;

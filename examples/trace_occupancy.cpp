@@ -20,7 +20,7 @@ int main() {
   const BlockJacobiKernel kernel(a, b, RowPartition::uniform(2000, 128), 5);
 
   gpusim::ExecutorOptions o;
-  o.stopping.max_global_iters = 40;
+  o.stopping.max_iters = 40;
   o.stopping.tol = 1e-12;
   o.record_trace = true;
   o.concurrent_slots = 14;

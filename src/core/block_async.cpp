@@ -6,7 +6,6 @@
 
 #include "backend/registry.hpp"
 #include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -88,28 +87,35 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
         "block_async_solve_with_kernel: kernel built for a different size");
   }
   kernel.set_rhs(b);
-  const RowPartition& part = kernel.partition();
 
   static const gpusim::CostModel kDefaultModel =
       gpusim::CostModel::calibrated_to_paper();
   const gpusim::CostModel& model =
       opts.cost_model ? *opts.cost_model : kDefaultModel;
   const gpusim::MatrixShape shape{opts.matrix_name, a.rows(), a.nnz()};
+  return detail::run_block_kernel(
+      kernel, a, b, opts, x0, "block-async",
+      model.gpu_block_async_iteration(shape, opts.local_iters),
+      [&](const Vector& x) { return relative_residual(a, b, x); });
+}
 
+namespace detail {
+
+BlockAsyncResult run_block_kernel(
+    const gpusim::BlockKernel& kernel, const Csr& a, const Vector& b,
+    const BlockAsyncOptions& opts, const Vector* x0, const char* solver,
+    value_t iteration_time,
+    const std::function<value_t(const Vector&)>& residual) {
   gpusim::ExecutorOptions exec;
-  exec.stopping.max_global_iters = opts.solve.max_iters;
-  exec.stopping.tol = opts.solve.tol;
-  exec.stopping.divergence_limit = opts.solve.divergence_limit;
-  exec.stopping.cancel = opts.solve.cancel;
-  // The proxy divides by the same norm relative_residual does.
+  exec.stopping = opts.solve.stop_rule();
+  // The proxy divides by ||b||, as the monitored residual does.
   exec.rhs_norm = opts.exact_history ? 0.0 : norm2(b);
   exec.telemetry = opts.solve.telemetry;
   exec.num_devices = opts.num_devices;
   exec.scheme = opts.scheme;
   exec.transfer = opts.transfer;
   exec.concurrent_slots = opts.concurrent_slots;
-  exec.global_iteration_time =
-      model.gpu_block_async_iteration(shape, opts.local_iters);
+  exec.global_iteration_time = iteration_time;
   exec.jitter = opts.jitter;
   exec.straggler_prob = opts.straggler_prob;
   exec.straggler_factor = opts.straggler_factor;
@@ -128,21 +134,17 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
   BlockAsyncResult out;
   out.solve.x = x0 ? *x0 : Vector(b.size(), 0.0);
 
-  telemetry::SolveProbe probe(opts.solve.telemetry, "block-async");
+  SolveRecorder rec(out.solve, opts.solve, solver);
   // SolveStartEvent::num_workers counts devices on a device layout.
-  probe.start(a.rows(), a.nnz(), part.num_blocks(),
-              transfers ? opts.num_devices : opts.num_workers,
-              telemetry::TimeDomain::kVirtual);
+  rec.probe().start(a.rows(), a.nnz(), kernel.num_blocks(),
+                    transfers ? opts.num_devices : opts.num_workers,
+                    telemetry::TimeDomain::kVirtual);
 
   gpusim::AsyncExecutor executor(kernel, exec);
-  const auto residual_fn = [&](const Vector& x) {
-    return relative_residual(a, b, x);
-  };
-  gpusim::ExecutorResult r = executor.run(out.solve.x, residual_fn);
+  gpusim::ExecutorResult r = executor.run(out.solve.x, residual);
 
-  out.solve.status = r.status;
   out.solve.iterations = r.global_iterations;
-  out.solve.final_residual = r.residual_history.back();
+  const value_t final_residual = r.residual_history.back();
   if (opts.solve.record_history) {
     out.solve.residual_history = std::move(r.residual_history);
     out.solve.time_history = std::move(r.time_history);
@@ -157,12 +159,13 @@ BlockAsyncResult block_async_solve_with_kernel(const Csr& a, const Vector& b,
 
   index_t commits = 0;
   for (index_t c : out.block_executions) commits += c;
-  probe.finish(out.solve.status, out.solve.iterations,
-               out.solve.final_residual, commits, out.max_staleness,
-               r.virtual_time,
-               out.resilience.rollbacks + out.resilience.damped_restarts);
+  rec.finish(r.status, final_residual, commits, out.max_staleness,
+             r.virtual_time,
+             out.resilience.rollbacks + out.resilience.damped_restarts);
   return out;
 }
+
+}  // namespace detail
 
 std::vector<BlockAsyncResult> block_async_solve_multi(
     const Csr& a, std::span<const Vector> bs, const BlockAsyncOptions& opts,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -138,6 +139,24 @@ struct BlockAsyncResult {
 [[nodiscard]] BlockAsyncResult block_async_solve_with_kernel(
     const Csr& a, const Vector& b, backend::BlockSweepKernel& kernel,
     const BlockAsyncOptions& opts = {}, const Vector* x0 = nullptr);
+
+namespace detail {
+
+/// The one executor path behind the block-asynchronous front-ends
+/// (block_async_solve_with_kernel, nonlinear_block_async_solve). Maps
+/// `opts` onto gpusim::ExecutorOptions, runs `kernel` from x0 (zero
+/// when null) with `residual` as the monitored residual, and maps the
+/// executor's result, bracketing the run with the start and finish
+/// events of solver `solver`. `iteration_time` is the virtual seconds
+/// of one global iteration; unless opts.exact_history is set, the
+/// residual proxy divides by ||b||, so `residual` must too.
+[[nodiscard]] BlockAsyncResult run_block_kernel(
+    const gpusim::BlockKernel& kernel, const Csr& a, const Vector& b,
+    const BlockAsyncOptions& opts, const Vector* x0, const char* solver,
+    value_t iteration_time,
+    const std::function<value_t(const Vector&)>& residual);
+
+}  // namespace detail
 
 /// Batched multi-RHS solve: one kernel build amortized over every
 /// right-hand side in `bs`. Each RHS runs the full executor schedule

@@ -1,12 +1,9 @@
 #include "core/block_jacobi.hpp"
 
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 
 #include "backend/registry.hpp"
-#include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -30,29 +27,15 @@ SolveResult block_jacobi_solve(const Csr& a, const Vector& b,
   SolveResult res;
   res.x = x0 ? *x0 : Vector(b.size(), 0.0);
 
-  telemetry::SolveProbe probe(opts.solve.telemetry, "block-jacobi");
-  probe.start(a.rows(), a.nnz(), q);
+  SolveRecorder rec(res, opts.solve, "block-jacobi");
+  rec.probe().start(a.rows(), a.nnz(), q);
 
   value_t rel = relative_residual(a, b, res.x);
-  if (opts.solve.record_history) res.residual_history.push_back(rel);
-  probe.iteration(0, rel);
 
   // Pre-extract halo spans once; values are re-gathered per iteration.
   Vector snapshot(res.x.size());
   Vector halo_vals;
-  for (index_t it = 0; it < opts.solve.max_iters; ++it) {
-    if (rel <= opts.solve.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.solve.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    if (common::cancel_requested(opts.solve.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  while (rec.proceed(rel)) {
     // Synchronous: all blocks read the same snapshot.
     snapshot = res.x;
     for (index_t blk = 0; blk < q; ++blk) {
@@ -67,13 +50,8 @@ SolveResult block_jacobi_solve(const Csr& a, const Vector& b,
       kernel.update(blk, halo_vals, res.x, ctx);
     }
     rel = relative_residual(a, b, res.x);
-    res.iterations = it + 1;
-    if (opts.solve.record_history) res.residual_history.push_back(rel);
-    probe.iteration(res.iterations, rel);
+    ++res.iterations;
   }
-  if (rel <= opts.solve.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
-  probe.finish(res.status, res.iterations, res.final_residual);
   return res;
 }
 

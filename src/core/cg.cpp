@@ -1,10 +1,8 @@
 #include "core/cg.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -42,37 +40,23 @@ SolveResult cg_solve(const Csr& a, const Vector& b, const CgOptions& opts,
   };
   precondition(r, z);
   p = z;
-  telemetry::SolveProbe probe(opts.solve.telemetry,
-                              opts.jacobi_preconditioner ? "pcg-jacobi" : "cg");
-  probe.start(a.rows(), a.nnz());
+  SolveRecorder rec(res, opts.solve,
+                    opts.jacobi_preconditioner ? "pcg-jacobi" : "cg");
+  rec.probe().start(a.rows(), a.nnz());
 
   value_t rz = dot(r, z);
   value_t rel = norm2(r) / den;
-  if (opts.solve.record_history) res.residual_history.push_back(rel);
-  probe.iteration(0, rel);
-
-  for (index_t it = 0; it < opts.solve.max_iters; ++it) {
-    if (rel <= opts.solve.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.solve.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    if (common::cancel_requested(opts.solve.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  while (rec.proceed(rel)) {
     a.spmv(p, ap);
     const value_t pap = dot(p, ap);
     if (pap <= 0.0) {
-      res.status = SolverStatus::kDiverged;  // matrix not SPD along p
+      rec.finish(SolverStatus::kDiverged, rel);  // matrix not SPD along p
       break;
     }
     const value_t alpha = rz / pap;
     axpy(alpha, p, res.x);
-    if (opts.recompute_every > 0 && (it + 1) % opts.recompute_every == 0) {
+    if (opts.recompute_every > 0 &&
+        (res.iterations + 1) % opts.recompute_every == 0) {
       a.residual(b, res.x, r);
     } else {
       axpy(-alpha, ap, r);
@@ -82,13 +66,8 @@ SolveResult cg_solve(const Csr& a, const Vector& b, const CgOptions& opts,
     xpby(z, rz_next / rz, p);
     rz = rz_next;
     rel = norm2(r) / den;
-    res.iterations = it + 1;
-    if (opts.solve.record_history) res.residual_history.push_back(rel);
-    probe.iteration(res.iterations, rel);
+    ++res.iterations;
   }
-  if (rel <= opts.solve.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
-  probe.finish(res.status, res.iterations, res.final_residual);
   return res;
 }
 

@@ -1,12 +1,11 @@
 #include "core/fcg.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
 #include "core/block_async.hpp"
 #include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -29,31 +28,16 @@ SolveResult fcg_solve(const Csr& a, const Vector& b, const FcgOptions& opts,
   a.residual(b, res.x, r);
   opts.preconditioner(a, r, z);
   p = z;
-  telemetry::SolveProbe probe(opts.solve.telemetry, "fcg");
-  probe.start(a.rows(), a.nnz());
+  SolveRecorder rec(res, opts.solve, "fcg");
+  rec.probe().start(a.rows(), a.nnz());
 
   value_t zr = dot(z, r);
   value_t rel = norm2(r) / den;
-  if (opts.solve.record_history) res.residual_history.push_back(rel);
-  probe.iteration(0, rel);
-
-  for (index_t it = 0; it < opts.solve.max_iters; ++it) {
-    if (rel <= opts.solve.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.solve.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    if (common::cancel_requested(opts.solve.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  while (rec.proceed(rel)) {
     a.spmv(p, ap);
     const value_t pap = dot(p, ap);
     if (pap <= 0.0) {
-      res.status = SolverStatus::kDiverged;
+      rec.finish(SolverStatus::kDiverged, rel);
       break;
     }
     const value_t alpha = zr / pap;
@@ -73,18 +57,13 @@ SolveResult fcg_solve(const Csr& a, const Vector& b, const FcgOptions& opts,
       p = z;
       zr = dot(z, r);
       if (zr <= 0.0) {
-        res.status = SolverStatus::kDiverged;
+        rec.finish(SolverStatus::kDiverged, rel);
         break;
       }
     }
     rel = norm2(r) / den;
-    res.iterations = it + 1;
-    if (opts.solve.record_history) res.residual_history.push_back(rel);
-    probe.iteration(res.iterations, rel);
+    ++res.iterations;
   }
-  if (rel <= opts.solve.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
-  probe.finish(res.status, res.iterations, res.final_residual);
   return res;
 }
 

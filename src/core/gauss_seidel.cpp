@@ -1,10 +1,6 @@
 #include "core/gauss_seidel.hpp"
 
-#include <cmath>
 #include <stdexcept>
-
-#include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -45,35 +41,17 @@ SolveResult sor_solve(const Csr& a, const Vector& b, value_t omega,
   const std::size_t n = b.size();
   SolveResult res;
   res.x = x0 ? *x0 : Vector(n, 0.0);
-  const value_t nb = norm2(b);
-  const value_t den = nb > 0.0 ? nb : 1.0;
 
-  telemetry::SolveProbe probe(
-      opts.telemetry,
+  SolveRecorder rec(
+      res, opts,
       omega == 1.0
           ? (dir == SweepDirection::kSymmetric ? "symmetric-gauss-seidel"
                                                : "gauss-seidel")
           : "sor");
-  probe.start(a.rows(), a.nnz());
+  rec.probe().start(a.rows(), a.nnz());
 
   value_t rel = relative_residual(a, b, res.x);
-  if (opts.record_history) res.residual_history.push_back(rel);
-  probe.iteration(0, rel);
-  (void)den;
-
-  for (index_t it = 0; it < opts.max_iters; ++it) {
-    if (rel <= opts.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    if (common::cancel_requested(opts.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  while (rec.proceed(rel)) {
     switch (dir) {
       case SweepDirection::kForward:
         sweep(a, b, res.x, d, omega, /*forward=*/true);
@@ -87,13 +65,8 @@ SolveResult sor_solve(const Csr& a, const Vector& b, value_t omega,
         break;
     }
     rel = relative_residual(a, b, res.x);
-    res.iterations = it + 1;
-    if (opts.record_history) res.residual_history.push_back(rel);
-    probe.iteration(res.iterations, rel);
+    ++res.iterations;
   }
-  if (rel <= opts.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
-  probe.finish(res.status, res.iterations, res.final_residual);
   return res;
 }
 

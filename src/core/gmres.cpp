@@ -1,11 +1,11 @@
 #include "core/gmres.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -26,42 +26,29 @@ SolveResult gmres_solve(const Csr& a, const Vector& b,
   const value_t nb = norm2(b);
   const value_t den = nb > 0.0 ? nb : 1.0;
 
-  telemetry::SolveProbe probe(opts.solve.telemetry, "gmres");
-  probe.start(a.rows(), a.nnz());
+  SolveRecorder rec(res, opts.solve, "gmres");
+  rec.probe().start(a.rows(), a.nnz());
 
   Vector r(n);
   a.residual(b, res.x, r);
   value_t beta = norm2(r);
   value_t rel = beta / den;
-  if (opts.solve.record_history) res.residual_history.push_back(rel);
-  probe.iteration(0, rel);
+  rec.record(0, rel);
 
   std::vector<Vector> v;                 // Krylov basis
   std::vector<std::vector<value_t>> h;   // Hessenberg columns
   Vector cs(m, 0.0), sn(m, 0.0), g(m + 1, 0.0);
   Vector w(n);
 
-  while (res.iterations < opts.solve.max_iters) {
-    if (rel <= opts.solve.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.solve.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    // Cancellation is honored at restart boundaries (a partial Arnoldi
-    // cycle would be discarded anyway).
-    if (common::cancel_requested(opts.solve.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  // Restart boundaries decide on the true residual; boundary 0 is one.
+  std::optional<SolverStatus> stop;
+  while (!(stop = rec.rule().verdict(res.iterations, rel))) {
     // Start a cycle from the true residual.
     a.residual(b, res.x, r);
     beta = norm2(r);
     if (beta == 0.0) {
       rel = 0.0;
-      res.status = SolverStatus::kConverged;
+      stop = SolverStatus::kConverged;
       break;
     }
     v.assign(1, r);
@@ -71,7 +58,7 @@ SolveResult gmres_solve(const Csr& a, const Vector& b,
     g[0] = beta;
 
     std::size_t k = 0;
-    for (; k < m && res.iterations < opts.solve.max_iters; ++k) {
+    for (; k < m; ++k) {
       a.spmv(v[k], w);
       std::vector<value_t> hk(k + 2, 0.0);
       // Modified Gram-Schmidt.
@@ -106,10 +93,12 @@ SolveResult gmres_solve(const Csr& a, const Vector& b,
 
       ++res.iterations;
       rel = std::abs(g[k + 1]) / den;
-      if (opts.solve.record_history) res.residual_history.push_back(rel);
-      probe.iteration(res.iterations, rel);
+      rec.record(res.iterations, rel);
 
-      if (rel <= opts.solve.tol) {
+      // Inside a cycle the rule sees the Givens estimate; any verdict
+      // ends the cycle, and the restart boundary confirms it on the
+      // true residual.
+      if (rec.rule().verdict(res.iterations, rel)) {
         ++k;
         break;
       }
@@ -140,9 +129,7 @@ SolveResult gmres_solve(const Csr& a, const Vector& b,
       res.residual_history.back() = rel;  // replace estimate with true
     }
   }
-  if (rel <= opts.solve.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
-  probe.finish(res.status, res.iterations, res.final_residual);
+  rec.finish(*stop, rel);
   return res;
 }
 

@@ -1,10 +1,8 @@
 #include "core/jacobi.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -27,38 +25,18 @@ SolveResult jacobi_impl(const Csr& a, const Vector& b, value_t tau,
   const value_t nb = norm2(b);
   const value_t scale_den = nb > 0.0 ? nb : 1.0;
 
-  telemetry::SolveProbe probe(opts.telemetry, name);
-  probe.start(a.rows(), a.nnz());
+  SolveRecorder rec(res, opts, name);
+  rec.probe().start(a.rows(), a.nnz());
 
   Vector r(n);
   a.residual(b, res.x, r);
   value_t rel = norm2(r) / scale_den;
-  if (opts.record_history) res.residual_history.push_back(rel);
-  probe.iteration(0, rel);
-
-  for (index_t it = 0; it < opts.max_iters; ++it) {
-    if (rel <= opts.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    if (common::cancel_requested(opts.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  while (rec.proceed(rel)) {
     for (std::size_t i = 0; i < n; ++i) res.x[i] += tau * r[i] / d[i];
     a.residual(b, res.x, r);
     rel = norm2(r) / scale_den;
-    res.iterations = it + 1;
-    if (opts.record_history) res.residual_history.push_back(rel);
-    probe.iteration(res.iterations, rel);
+    ++res.iterations;
   }
-  if (rel <= opts.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
-  probe.finish(res.status, res.iterations, res.final_residual);
   return res;
 }
 

@@ -5,13 +5,18 @@
 #include <stdexcept>
 
 #include "backend/block_split.hpp"
+#include "core/block_async.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
 namespace {
+
+/// Virtual seconds per global iteration of the nonlinear iteration: the
+/// executor's generic unit, since the cost model is calibrated for the
+/// linear kernels only.
+constexpr value_t kIterationTime = 1.0e-2;
 
 /// Nonlinear residual r = b - A x - phi(x); returns relative l2 norm.
 value_t nonlinear_residual(const Csr& a, const Vector& b,
@@ -169,53 +174,26 @@ NonlinearAsyncResult nonlinear_block_async_solve(
     throw std::invalid_argument(
         "nonlinear_block_async_solve: nonlinearity callbacks required");
   }
-  const RowPartition part = RowPartition::uniform(a.rows(), opts.block_size);
-  const NonlinearBlockKernel kernel(a, b, phi, part, opts.local_iters,
-                                    opts.damping);
+  const NonlinearBlockKernel kernel(
+      a, b, phi, RowPartition::uniform(a.rows(), opts.block_size),
+      opts.local_iters, opts.damping);
 
-  gpusim::ExecutorOptions exec;
-  exec.stopping.max_global_iters = opts.solve.max_iters;
-  exec.stopping.tol = opts.solve.tol;
-  exec.stopping.divergence_limit = opts.solve.divergence_limit;
-  exec.stopping.cancel = opts.solve.cancel;
-  exec.telemetry = opts.solve.telemetry;
-  exec.concurrent_slots = opts.concurrent_slots;
-  exec.policy = opts.policy;
-  exec.jitter = opts.jitter;
-  exec.seed = opts.seed;
-
-  NonlinearAsyncResult out;
-  out.solve.x = x0 ? *x0 : Vector(b.size(), 0.0);
+  BlockAsyncOptions o;
+  o.solve = opts.solve;
+  o.block_size = opts.block_size;
+  o.local_iters = opts.local_iters;
+  o.policy = opts.policy;
+  o.concurrent_slots = opts.concurrent_slots;
+  o.jitter = opts.jitter;
+  o.seed = opts.seed;
+  // The nonlinear kernel writes no per-block residuals to build a proxy.
+  o.exact_history = true;
   const value_t nb = norm2(b);
   const value_t den = nb > 0.0 ? nb : 1.0;
-
-  // The executor emits iteration and commit events to the observer;
-  // the probe brackets them with the solve's start and finish.
-  telemetry::SolveProbe probe(opts.solve.telemetry, "nonlinear-block-async");
-  probe.start(a.rows(), a.nnz(), part.num_blocks(), 0,
-              telemetry::TimeDomain::kVirtual);
-
-  gpusim::AsyncExecutor executor(kernel, exec);
-  const auto residual_fn = [&](const Vector& x) {
-    return nonlinear_residual(a, b, phi, x, den);
-  };
-  gpusim::ExecutorResult r = executor.run(out.solve.x, residual_fn);
-
-  out.solve.status = r.status;
-  out.solve.iterations = r.global_iterations;
-  out.solve.final_residual = r.residual_history.back();
-  if (opts.solve.record_history) {
-    out.solve.residual_history = std::move(r.residual_history);
-    out.solve.time_history = std::move(r.time_history);
-  }
-  out.block_executions = std::move(r.block_executions);
-
-  index_t commits = 0;
-  for (index_t c : out.block_executions) commits += c;
-  probe.finish(out.solve.status, out.solve.iterations,
-               out.solve.final_residual, commits, r.max_staleness,
-               r.virtual_time);
-  return out;
+  BlockAsyncResult r = detail::run_block_kernel(
+      kernel, a, b, o, x0, "nonlinear-block-async", kIterationTime,
+      [&](const Vector& x) { return nonlinear_residual(a, b, phi, x, den); });
+  return {std::move(r.solve), std::move(r.block_executions)};
 }
 
 SolveResult nonlinear_jacobi_solve(const Csr& a, const Vector& b,
@@ -237,23 +215,12 @@ SolveResult nonlinear_jacobi_solve(const Csr& a, const Vector& b,
   const value_t den = nb > 0.0 ? nb : 1.0;
   const Vector d = a.diagonal();
 
-  value_t rel = nonlinear_residual(a, b, phi, res.x, den);
-  if (opts.record_history) res.residual_history.push_back(rel);
+  SolveRecorder rec(res, opts, "nonlinear-jacobi");
+  rec.probe().start(a.rows(), a.nnz());
 
+  value_t rel = nonlinear_residual(a, b, phi, res.x, den);
   Vector ax(n);
-  for (index_t it = 0; it < opts.max_iters; ++it) {
-    if (rel <= opts.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    if (common::cancel_requested(opts.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  while (rec.proceed(rel)) {
     a.spmv(res.x, ax);
     Vector xn(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -268,11 +235,8 @@ SolveResult nonlinear_jacobi_solve(const Csr& a, const Vector& b,
     }
     res.x = std::move(xn);
     rel = nonlinear_residual(a, b, phi, res.x, den);
-    res.iterations = it + 1;
-    if (opts.record_history) res.residual_history.push_back(rel);
+    ++res.iterations;
   }
-  if (rel <= opts.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
   return res;
 }
 

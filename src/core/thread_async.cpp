@@ -1,9 +1,10 @@
 #include "core/thread_async.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -14,7 +15,6 @@
 #include "sparse/partition.hpp"
 #include "sparse/vector_ops.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars {
 
@@ -63,30 +63,26 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
                             opts.solve.telemetry.metrics);
   const backend::BlockSweepKernel& kernel = *kernel_ptr;
   const index_t q = part.num_blocks();
-  if (q == 0) {
-    // Empty system: with no blocks there are no workers, and the
-    // monitor loop below would index empty per-worker counters.
-    ThreadAsyncResult out;
-    out.solve.status = SolverStatus::kConverged;
-    if (opts.solve.record_history) out.solve.residual_history.push_back(0.0);
-    return out;
-  }
 
   index_t threads = opts.num_threads;
   if (threads <= 0) {
     threads = static_cast<index_t>(
         std::max(1u, std::thread::hardware_concurrency()));
   }
-  threads = std::min(threads, q);
+  // At least one worker, so the monitor has a pass counter to poll even
+  // on an empty system.
+  threads = std::max<index_t>(1, std::min(threads, q));
 
   ThreadAsyncResult out;
   out.block_executions.assign(static_cast<std::size_t>(q), 0);
+  SolveResult& sr = out.solve;
 
   // Observability. All callbacks fire from this (monitor) thread only —
   // workers never touch the observer, so the callback-serial contract
   // holds even though the solve itself is multi-threaded. The phase
   // timers are real wall clock (TimeDomain::kWall).
-  telemetry::SolveProbe probe(opts.solve.telemetry, "thread-async");
+  SolveRecorder rec(sr, opts.solve, "thread-async");
+  telemetry::SolveProbe& probe = rec.probe();
   telemetry::MetricsRegistry* const metrics = opts.solve.telemetry.metrics;
   probe.start(a.rows(), a.nnz(), q, threads, telemetry::TimeDomain::kWall);
 
@@ -172,21 +168,21 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
     return norm2(rbuf) / den;
   };
 
-  SolveResult& sr = out.solve;
-  {
-    x.snapshot_into(snap);
-    const value_t rel = residual_of(snap);
-    if (opts.solve.record_history) sr.residual_history.push_back(rel);
-    sr.final_residual = rel;
-    if (probe.active()) probe.iteration(0, rel, probe.elapsed_seconds());
-  }
-  // A solve that starts converged (or non-finite) stops at boundary 0,
-  // before any worker starts.
-  const bool converged0 = sr.final_residual <= opts.solve.tol;
-  if (converged0 || !std::isfinite(sr.final_residual)) {
-    sr.status = converged0 ? SolverStatus::kConverged : SolverStatus::kDiverged;
+  // Records boundary sr.iterations on the snapshot's residual, stamped
+  // with the wall clock, and returns the rule's verdict there.
+  const auto boundary = [&](value_t rel) {
+    rec.record(sr.iterations, rel,
+               probe.active() ? probe.elapsed_seconds() : 0.0);
+    return rec.rule().verdict(sr.iterations, rel);
+  };
+
+  x.snapshot_into(snap);
+  value_t rel = residual_of(snap);
+  std::optional<SolverStatus> verdict = boundary(rel);
+  // A solve that stops at boundary 0 starts no worker.
+  if (verdict) {
     sr.x = std::move(snap);
-    probe.finish(sr.status, 0, sr.final_residual);
+    rec.finish(*verdict, rel);
     return out;
   }
 
@@ -210,8 +206,7 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
     }
     return mn;
   };
-  bool verdict_on_snap = false;
-  while (true) {
+  while (!verdict) {
     const index_t seen = passes_done.load(std::memory_order_acquire);
     if (min_generation() <= sr.iterations) {
       if (common::verify::controlled()) {
@@ -227,28 +222,8 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
     x.snapshot_into(snap);
     sampled.store(sr.iterations, std::memory_order_release);
     sampled.notify_all();
-    const value_t rel = residual_of(snap);
-    if (opts.solve.record_history) sr.residual_history.push_back(rel);
-    sr.final_residual = rel;
-    if (probe.active()) {
-      probe.iteration(sr.iterations, rel, probe.elapsed_seconds());
-    }
-    if (rel <= opts.solve.tol) {
-      sr.status = SolverStatus::kConverged;
-      verdict_on_snap = true;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.solve.divergence_limit) {
-      sr.status = SolverStatus::kDiverged;
-      verdict_on_snap = true;
-      break;
-    }
-    if (common::cancel_requested(opts.solve.cancel)) {
-      sr.status = SolverStatus::kAborted;
-      verdict_on_snap = true;
-      break;
-    }
-    if (sr.iterations >= opts.solve.max_iters) break;
+    rel = residual_of(snap);
+    verdict = boundary(rel);
   }
   stop.store(true, std::memory_order_relaxed);
   // Move `sampled` past any value a waiting worker holds, so its wait
@@ -260,18 +235,16 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
     metrics->gauge("thread_async_solve_seconds").set(probe.elapsed_seconds());
   }
 
-  if (verdict_on_snap) {
+  if (verdict != SolverStatus::kMaxIterations) {
     // The verdict was rendered on `snap`; returning that very iterate
     // keeps x and final_residual consistent and skips a recompute.
     sr.x = std::move(snap);
   } else {
-    // Iteration limit: workers kept running until the join, so report
-    // the freshest iterate and its residual.
+    // Iteration limit: workers kept running until the join, so the
+    // verdict is taken again on the freshest iterate.
     x.snapshot_into(sr.x);
-    sr.final_residual = residual_of(sr.x);
-    if (sr.final_residual <= opts.solve.tol) {
-      sr.status = SolverStatus::kConverged;
-    }
+    rel = residual_of(sr.x);
+    verdict = rec.rule().verdict(sr.iterations, rel);
   }
   out.block_executions.resize(static_cast<std::size_t>(q));
   for (index_t blk = 0; blk < q; ++blk) {
@@ -296,8 +269,7 @@ ThreadAsyncResult thread_async_solve(const Csr& a, const Vector& b,
         .inc(static_cast<std::uint64_t>(out.total_block_executions));
     metrics->gauge("thread_async_total_seconds").set(probe.elapsed_seconds());
   }
-  probe.finish(sr.status, sr.iterations, sr.final_residual,
-               out.total_block_executions);
+  rec.finish(*verdict, rel, out.total_block_executions);
   return out;
 }
 

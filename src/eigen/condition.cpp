@@ -112,6 +112,9 @@ ConditionEstimate jacobi_scaled_condition_number(const Csr& a,
 }
 
 value_t optimal_jacobi_tau(const Csr& a, const ConditionOptions& opts) {
+  if (a.rows() == 0) {
+    throw std::invalid_argument("optimal_jacobi_tau: empty matrix");
+  }
   const ConditionEstimate est = jacobi_scaled_condition_number(a, opts);
   const value_t sum = est.lambda_min + est.lambda_max;
   if (sum <= 0.0) {

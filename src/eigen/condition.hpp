@@ -42,6 +42,8 @@ struct ConditionOptions {
 
 /// tau = 2 / (lambda_1 + lambda_n) of D^{-1}A — the damping factor the
 /// paper suggests to restore convergence when rho(B) > 1 (Section 4.2).
+/// Throws std::invalid_argument for an empty matrix, which has no
+/// spectrum.
 [[nodiscard]] value_t optimal_jacobi_tau(const Csr& a,
                                          const ConditionOptions& opts = {});
 

@@ -137,11 +137,15 @@ ExecutorResult AsyncExecutor::run(
   }
   ExecutorResult res;
   if (q == 0) {
-    res.residual_history.push_back(residual_fn(x));
-    res.time_history.push_back(0.0);
-    if (res.residual_history.back() <= opts_.stopping.tol) {
-      res.status = SolverStatus::kConverged;
+    // An empty system has no boundary after 0: the rule's verdict there,
+    // if any, is final.
+    IterationMonitor monitor(opts_.stopping, nullptr, nullptr, 0,
+                             opts_.telemetry.observer);
+    if (const auto stop = monitor.record_initial(residual_fn(x))) {
+      res.status = *stop;
     }
+    res.residual_history = std::move(monitor.residual_history());
+    res.time_history = std::move(monitor.time_history());
     return res;
   }
 
@@ -196,10 +200,11 @@ ExecutorResult AsyncExecutor::run(
   IterationMonitor monitor(opts_.stopping,
                            opts_.resilience ? &*opts_.resilience : nullptr,
                            timeline ? &*timeline : nullptr, q, obs);
-  // A solve that starts converged (or non-finite) stops at boundary 0.
-  const StopVerdict initial = monitor.record_initial(residual_fn(x));
-  bool stopped = initial != StopVerdict::kContinue;
-  if (stopped) res.status = monitor.status_for(initial);
+  // The rule may stop the solve at boundary 0, before any block runs.
+  const std::optional<SolverStatus> initial =
+      monitor.record_initial(residual_fn(x));
+  bool stopped = initial.has_value();
+  if (stopped) res.status = *initial;
 
   // Residual proxy (plain single-device runs with opts_.rhs_norm set):
   // every update writes its block's squared residual at read time into
@@ -595,7 +600,7 @@ ExecutorResult AsyncExecutor::run(
         for (Vector& v : views) timeline->corrupt_iterate(global_iter, v);
       }
       const index_t mutations_before = monitor.iterate_mutations();
-      const StopVerdict verdict = monitor.on_global_iteration(
+      const std::optional<SolverStatus> stop = monitor.on_global_iteration(
           global_iter, now, x, residual_fn, write_generation,
           proxy_residual());
       if (monitor.iterate_mutations() != mutations_before) {
@@ -604,8 +609,8 @@ ExecutorResult AsyncExecutor::run(
         // restored solution.
         for (Vector& v : views) v = x;
       }
-      if (verdict != StopVerdict::kContinue) {
-        res.status = monitor.status_for(verdict);
+      if (stop) {
+        res.status = *stop;
         stopped = true;
         return;
       }

@@ -64,11 +64,11 @@ enum class SchedulePolicy {
 };
 
 struct ExecutorOptions {
-  /// Stopping knobs (max_global_iters / tol / divergence_limit), the
-  /// same struct the IterationMonitor consumes. Convergence is
-  /// residual_fn(x) <= tol (residual_fn decides the norm and scaling;
-  /// the paper uses the relative l2 residual).
-  StoppingCriteria stopping{};
+  /// The stopping rule, applied to residual_fn(x) at boundary 0 and at
+  /// every global-iteration boundary (residual_fn decides the norm and
+  /// scaling; the paper uses the relative l2 residual). Solver
+  /// front-ends pass SolveOptions::stop_rule().
+  StopRule stopping{};
   /// ||b|| of the system the kernel relaxes. When > 0, a plain
   /// single-device run (no fault timeline, no resilience policy)
   /// monitors the residual proxy sqrt(sum_b ||r_b||^2) / rhs_norm built
@@ -178,7 +178,7 @@ struct ExecutorResult {
   index_t num_transfers = 0;
 };
 
-/// Runs the kernel to convergence (or max_global_iters) in virtual time.
+/// Runs the kernel until the stopping rule's verdict, in virtual time.
 class AsyncExecutor {
  public:
   AsyncExecutor(const BlockKernel& kernel, ExecutorOptions opts);
@@ -187,8 +187,9 @@ class AsyncExecutor {
   /// Iterate on x in place. residual_fn is called once initially and
   /// then at most once per global iteration with the current iterate
   /// (under the residual proxy, only at the boundaries the proxy
-  /// leaves to it; see ExecutorOptions::rhs_norm). A solve whose
-  /// initial residual is <= tol, or not finite, stops at boundary 0.
+  /// leaves to it; see ExecutorOptions::rhs_norm). The stopping rule
+  /// is also applied at boundary 0, so a solve may stop before any
+  /// block runs.
   ExecutorResult run(Vector& x,
                      const std::function<value_t(const Vector&)>& residual_fn);
 

@@ -1,7 +1,6 @@
 #include "gpusim/stopping.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace bars::gpusim {
 
@@ -15,12 +14,12 @@ namespace bars::gpusim {
 
 using telemetry::RecoveryEvent;
 
-IterationMonitor::IterationMonitor(StoppingCriteria criteria,
+IterationMonitor::IterationMonitor(StopRule rule,
                                    const resilience::Policy* policy,
                                    resilience::ScenarioTimeline* timeline,
                                    index_t num_blocks,
                                    telemetry::SolveObserver* observer)
-    : crit_(criteria), timeline_(timeline), observer_(observer) {
+    : rule_(rule), timeline_(timeline), observer_(observer) {
   if (policy) {
     if (policy->checkpointing) {
       checkpoint_.emplace(policy->checkpoint);
@@ -41,12 +40,19 @@ void IterationMonitor::record(index_t iter, value_t now, value_t r) {
   if (observer_) observer_->on_iteration({iter, r, now});
 }
 
-StopVerdict IterationMonitor::record_initial(value_t r0) {
+std::optional<SolverStatus> IterationMonitor::record_initial(value_t r0) {
   record(0, 0.0, r0);
   if (detector_) (void)detector_->push(r0);
-  if (r0 <= crit_.tol) return StopVerdict::kConverged;
-  if (!std::isfinite(r0)) return StopVerdict::kDiverged;
-  return StopVerdict::kContinue;
+  return rule_.verdict(0, r0);
+}
+
+std::optional<SolverStatus> IterationMonitor::verdict(index_t iter,
+                                                      value_t r) const {
+  const std::optional<SolverStatus> stop = rule_.verdict(iter, r);
+  if (stop == SolverStatus::kConverged && iterate_mutations() > 0) {
+    return SolverStatus::kRecoveredConverged;
+  }
+  return stop;
 }
 
 bool IterationMonitor::proxy_decides(index_t iter, value_t proxy) {
@@ -54,19 +60,15 @@ bool IterationMonitor::proxy_decides(index_t iter, value_t proxy) {
   // boundary 1 the proxy is the starting iterate's residual with no
   // contraction to scale the margin by, so a system solved in one
   // global iteration (a diagonal one) would stop a boundary late.
-  if (exact_only_ || iter <= 1 || !(proxy >= 0.0) || !std::isfinite(proxy) ||
-      proxy > crit_.divergence_limit || iter >= crit_.max_global_iters ||
-      (crit_.cancel != nullptr && crit_.cancel->requested())) {
-    return false;
-  }
+  if (exact_only_ || iter <= 1 || !(proxy >= 0.0)) return false;
   // The proxy lags the iterate by about one sweep, so the margin grows
-  // with the contraction P_prev / P seen over the last boundary.
-  const value_t margin = std::max(10.0, 3.0 * history_.back() / proxy);
-  if (!(proxy > crit_.tol * margin)) {
-    exact_only_ = true;
-    return false;
-  }
-  return true;
+  // with the contraction P_prev / P seen over the last boundary. Any
+  // verdict leaves the boundary to the exact residual; a proxy within
+  // the margin of tol leaves every later boundary to it too.
+  const std::optional<SolverStatus> stop = rule_.estimate_verdict(
+      iter, proxy, std::max(10.0, 3.0 * history_.back() / proxy));
+  if (stop == SolverStatus::kConverged) exact_only_ = true;
+  return !stop;
 }
 
 void IterationMonitor::damped_restart(
@@ -86,25 +88,21 @@ void IterationMonitor::damped_restart(
   emit_recovery(RecoveryEvent::Kind::kDampedRestart, iter, r);
 }
 
-StopVerdict IterationMonitor::on_global_iteration(
+std::optional<SolverStatus> IterationMonitor::on_global_iteration(
     index_t iter, value_t now, Vector& x,
     const std::function<value_t(const Vector&)>& residual_fn,
     std::span<const index_t> block_executions, value_t proxy) {
   if (proxy_decides(iter, proxy)) {
     record(iter, now, proxy);
-    return StopVerdict::kContinue;
+    return std::nullopt;
   }
   value_t r = residual_fn(x);
   record(iter, now, r);
   if (timeline_) timeline_->advance(iter);
 
-  // Cooperative cancellation, honored before the recovery machinery
-  // runs (an abandoned solve must not roll back, restart, or save
-  // checkpoints). A converged iterate still reports convergence:
-  // tripping the token cannot un-converge a finished solve.
-  if (crit_.cancel != nullptr && crit_.cancel->requested() && r > crit_.tol) {
-    return StopVerdict::kCancelled;
-  }
+  // An abandoned solve stops before the recovery machinery runs: it
+  // must not roll back, restart, or save checkpoints.
+  if (rule_.cancelled()) return verdict(iter, r);
 
   bool anomalous = false;
   if (detector_) {
@@ -161,20 +159,13 @@ StopVerdict IterationMonitor::on_global_iteration(
     }
   }
 
-  if (r <= crit_.tol) return StopVerdict::kConverged;
-  if (!std::isfinite(r) || r > crit_.divergence_limit) {
-    if (watchdog_ && restarts_done_ < max_restarts_) {
-      damped_restart(iter, x, r, residual_fn);
-      if (r <= crit_.tol) return StopVerdict::kConverged;
-      if (std::isfinite(r) && r <= crit_.divergence_limit) {
-        if (iter >= crit_.max_global_iters) return StopVerdict::kIterLimit;
-        return StopVerdict::kContinue;
-      }
-    }
-    return StopVerdict::kDiverged;
+  // The watchdog's damped restart gets one chance to rescue a diverged
+  // iterate before the verdict stands.
+  if (rule_.verdict(iter, r) == SolverStatus::kDiverged && watchdog_ &&
+      restarts_done_ < max_restarts_) {
+    damped_restart(iter, x, r, residual_fn);
   }
-  if (iter >= crit_.max_global_iters) return StopVerdict::kIterLimit;
-  return StopVerdict::kContinue;
+  return verdict(iter, r);
 }
 
 resilience::Report IterationMonitor::take_report() {

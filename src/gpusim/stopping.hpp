@@ -1,11 +1,12 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "common/cancel.hpp"
 #include "common/solver_status.hpp"
+#include "common/stop_rule.hpp"
 #include "resilience/recovery.hpp"
 #include "resilience/scenario.hpp"
 #include "sparse/types.hpp"
@@ -13,30 +14,13 @@
 
 /// \file stopping.hpp
 /// Per-global-iteration bookkeeping of AsyncExecutor's run loop:
-/// residual/time history recording, the convergence/divergence/
-/// iteration-limit verdict, and the single place where the resilience
-/// layer hooks into a solve — online SDC detection with checkpoint
-/// rollback, watchdog supervision with component reassignment, and
-/// damped restarts on divergence.
+/// residual/time history recording, the residual proxy, and the single
+/// place where the resilience layer hooks into a solve — online SDC
+/// detection with checkpoint rollback, watchdog supervision with
+/// component reassignment, and damped restarts on divergence. The
+/// verdict itself is the library's one StopRule.
 
 namespace bars::gpusim {
-
-struct StoppingCriteria {
-  index_t max_global_iters = 1000;
-  value_t tol = 1e-14;
-  value_t divergence_limit = 1e30;
-  /// Cooperative cancellation token (SolveOptions::cancel), polled once
-  /// per global-iteration boundary. Null disables the check.
-  const common::CancelToken* cancel = nullptr;
-};
-
-enum class StopVerdict {
-  kContinue,
-  kConverged,   ///< residual reached tol
-  kDiverged,    ///< residual non-finite or above the divergence limit
-  kIterLimit,   ///< max_global_iters reached
-  kCancelled,   ///< the cancel token was tripped mid-solve
-};
 
 /// Drives one solve's global-iteration boundaries. `policy` and
 /// `timeline` may be null (plain run, legacy behavior bit-for-bit).
@@ -51,21 +35,24 @@ enum class StopVerdict {
 /// on_block_commit.
 class IterationMonitor {
  public:
-  IterationMonitor(StoppingCriteria criteria,
+  IterationMonitor(StopRule rule,
                    const resilience::Policy* policy,
                    resilience::ScenarioTimeline* timeline,
                    index_t num_blocks,
                    telemetry::SolveObserver* observer = nullptr);
 
   /// Record the initial residual (history index 0, time 0) and return
-  /// the boundary-0 verdict: kConverged when r0 <= tol, kDiverged when
-  /// r0 is not finite, kContinue otherwise.
-  [[nodiscard]] StopVerdict record_initial(value_t r0);
+  /// the rule's boundary-0 verdict; no value continues.
+  [[nodiscard]] std::optional<SolverStatus> record_initial(value_t r0);
 
   /// Handle the boundary after global iteration `iter`: record the
   /// residual, advance the fault timeline, run detector/checkpoint/
   /// watchdog hooks (which may mutate x — rollback, damped restart),
-  /// and return the stopping verdict.
+  /// and return the rule's verdict; no value continues. A converged run
+  /// whose iterate the hooks rewrote along the way is
+  /// kRecoveredConverged. Once the cancel token is tripped the solve is
+  /// abandoned: the verdict is taken before any hook runs, so it never
+  /// rolls back, restarts, or saves a checkpoint.
   ///
   /// `proxy` is the executor's residual proxy for this boundary, or
   /// negative when it has none (proxies are passed for plain runs only:
@@ -77,7 +64,7 @@ class IterationMonitor {
   /// Boundary 1, cancel, the iteration limit, and non-finite or
   /// over-limit values of P also fall through to the exact residual, so
   /// only an exact value decides a stop.
-  StopVerdict on_global_iteration(
+  std::optional<SolverStatus> on_global_iteration(
       index_t iter, value_t now, Vector& x,
       const std::function<value_t(const Vector&)>& residual_fn,
       std::span<const index_t> block_executions, value_t proxy = -1.0);
@@ -95,26 +82,6 @@ class IterationMonitor {
   /// Resilience activity of the run so far (halo-corruption counts are
   /// folded in from the timeline).
   [[nodiscard]] resilience::Report take_report();
-
-  /// Map the final verdict to the unified SolverStatus, accounting for
-  /// recovery: a converged run whose iterate the monitor rewrote along
-  /// the way is kRecoveredConverged, not plain kConverged. Call before
-  /// take_report().
-  [[nodiscard]] SolverStatus status_for(StopVerdict v) const {
-    switch (v) {
-      case StopVerdict::kConverged:
-        return iterate_mutations() > 0 ? SolverStatus::kRecoveredConverged
-                                       : SolverStatus::kConverged;
-      case StopVerdict::kDiverged:
-        return SolverStatus::kDiverged;
-      case StopVerdict::kCancelled:
-        return SolverStatus::kAborted;
-      case StopVerdict::kContinue:
-      case StopVerdict::kIterLimit:
-        break;
-    }
-    return SolverStatus::kMaxIterations;
-  }
 
  private:
   void emit_recovery(telemetry::RecoveryEvent::Kind kind, index_t iter,
@@ -134,7 +101,12 @@ class IterationMonitor {
   /// proxy nears tol.
   bool proxy_decides(index_t iter, value_t proxy);
 
-  StoppingCriteria crit_;
+  /// The rule's verdict, with kConverged upgraded to
+  /// kRecoveredConverged once the iterate was rewritten.
+  [[nodiscard]] std::optional<SolverStatus> verdict(index_t iter,
+                                                    value_t r) const;
+
+  StopRule rule_;
   resilience::ScenarioTimeline* timeline_;
   std::optional<resilience::CheckpointStore> checkpoint_;
   std::optional<resilience::OnlineResidualDetector> detector_;

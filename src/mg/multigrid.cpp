@@ -9,7 +9,6 @@
 #include "matrices/generators.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/vector_ops.hpp"
-#include "telemetry/probe.hpp"
 
 namespace bars::mg {
 
@@ -123,40 +122,20 @@ SolveResult PoissonMultigrid::solve(const Vector& b,
   const value_t nb = norm2(b);
   const value_t den = nb > 0.0 ? nb : 1.0;
 
-  telemetry::SolveProbe probe(opts.solve.telemetry,
-                              opts.cycle == CycleType::kW ? "multigrid-w"
-                                                          : "multigrid-v");
-  probe.start(a.rows(), a.nnz(), num_levels());
+  SolveRecorder rec(res, opts.solve,
+                    opts.cycle == CycleType::kW ? "multigrid-w"
+                                                : "multigrid-v");
+  rec.probe().start(a.rows(), a.nnz(), num_levels());
 
   Vector r(b.size());
   a.residual(b, res.x, r);
   value_t rel = norm2(r) / den;
-  if (opts.solve.record_history) res.residual_history.push_back(rel);
-  probe.iteration(0, rel);
-
-  for (index_t cycle = 0; cycle < opts.solve.max_iters; ++cycle) {
-    if (rel <= opts.solve.tol) {
-      res.status = SolverStatus::kConverged;
-      break;
-    }
-    if (!std::isfinite(rel) || rel > opts.solve.divergence_limit) {
-      res.status = SolverStatus::kDiverged;
-      break;
-    }
-    if (common::cancel_requested(opts.solve.cancel)) {
-      res.status = SolverStatus::kAborted;
-      break;
-    }
+  while (rec.proceed(rel)) {
     vcycle(0, b, res.x, opts);
     a.residual(b, res.x, r);
     rel = norm2(r) / den;
-    res.iterations = cycle + 1;
-    if (opts.solve.record_history) res.residual_history.push_back(rel);
-    probe.iteration(res.iterations, rel);
+    ++res.iterations;
   }
-  if (rel <= opts.solve.tol) res.status = SolverStatus::kConverged;
-  res.final_residual = rel;
-  probe.finish(res.status, res.iterations, res.final_residual);
   return res;
 }
 

@@ -4,7 +4,6 @@
 
 #include <array>
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -135,43 +134,6 @@ TEST(CancelToken, NullSafeHelper) {
   t.request_cancel();
   EXPECT_TRUE(common::cancel_requested(&t));
 }
-
-/// Every registry solver must honor SolveOptions::cancel: with a
-/// pre-tripped token and an unreachable tolerance, the solve exits
-/// kAborted at its first iteration boundary instead of burning through
-/// max_iters.
-class CancelAllSolvers : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(CancelAllSolvers, PreTrippedTokenAbortsPromptly) {
-  // 15 = 2^4 - 1 so the multigrid entries can build a hierarchy.
-  const Csr a = fv_like(15, 0.8);
-  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-
-  common::CancelToken token;
-  token.request_cancel();
-
-  RegistrySolveOptions o;
-  o.solve.max_iters = 50000;
-  o.solve.tol = 1e-300;  // unreachable: nothing converges before the poll
-  o.solve.cancel = &token;
-  o.block_size = 32;
-  o.local_iters = 2;
-  o.num_threads = 2;
-  const SolveResult r = find_solver(GetParam())(a, b, o);
-  EXPECT_EQ(r.status, SolverStatus::kAborted) << GetParam();
-  // Aborted at an early iteration boundary, not after max_iters.
-  EXPECT_LT(r.iterations, 100) << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSolvers, CancelAllSolvers, ::testing::ValuesIn(solver_names()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string n = info.param;
-      for (char& c : n) {
-        if (c == '-') c = '_';
-      }
-      return n;
-    });
 
 TEST(Cancel, ConvergenceBeatsCancellation) {
   // Cancellation never downgrades a solve whose iterate already passes

@@ -114,7 +114,7 @@ TEST(FaultTolerance, FullFractionFreezesTheWholeIterate) {
 }
 
 TEST(FaultTolerance, FailureBeyondIterationLimitIsInert) {
-  // fail_at past max_global_iters: the event never fires, so the run is
+  // fail_at past max_iters: the event never fires, so the run is
   // identical to the clean one.
   const Csr a = test_matrix();
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);

@@ -162,7 +162,7 @@ TEST(NonlinearAsync, PreTrippedTokenAborts) {
   const NonlinearAsyncResult r =
       nonlinear_block_async_solve(a, b, cubic_nonlinearity(0.5), o);
   EXPECT_EQ(r.solve.status, SolverStatus::kAborted);
-  EXPECT_EQ(r.solve.iterations, 1);
+  EXPECT_EQ(r.solve.iterations, 0);
 }
 
 /// Logs the observer callbacks in order: S(tart), I(teration),

@@ -28,7 +28,7 @@ struct Fixture {
 TEST(AsyncExecutor, ConvergesOnPoisson) {
   Fixture s(64, 16, 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 60000;  // rho(B) = cos(pi/65): slow but sure
+  o.stopping.max_iters = 60000;  // rho(B) = cos(pi/65): slow but sure
   o.stopping.tol = 1e-12;
   AsyncExecutor ex(s.kernel, o);
   Vector x(64, 0.0);
@@ -41,7 +41,7 @@ TEST(AsyncExecutor, ConvergesOnPoisson) {
 TEST(AsyncExecutor, DeterministicGivenSeed) {
   Fixture s(48, 8, 2);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 30;
+  o.stopping.max_iters = 30;
   o.stopping.tol = 0.0;
   o.seed = 1234;
   Vector x1(48, 0.0), x2(48, 0.0);
@@ -59,7 +59,7 @@ TEST(AsyncExecutor, DeterministicGivenSeed) {
 TEST(AsyncExecutor, DifferentSeedsGiveDifferentTrajectories) {
   Fixture s(48, 8, 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 20;
+  o.stopping.max_iters = 20;
   o.stopping.tol = 0.0;
   Vector x1(48, 0.0), x2(48, 0.0);
   o.seed = 1;
@@ -83,7 +83,7 @@ TEST(AsyncExecutor, BlockExecutionCountsBalanced) {
   // — with FIFO requeue the counts stay within a small spread.
   Fixture s(100, 10, 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 50;
+  o.stopping.max_iters = 50;
   o.stopping.tol = 0.0;
   Vector x(100, 0.0);
   const auto r = AsyncExecutor(s.kernel, o).run(
@@ -100,7 +100,7 @@ TEST(AsyncExecutor, StalenessBounded) {
   // Chazan-Miranker condition 2: bounded shift.
   Fixture s(128, 8, 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 100;
+  o.stopping.max_iters = 100;
   o.stopping.tol = 0.0;
   o.straggler_factor = 3.0;
   Vector x(128, 0.0);
@@ -113,7 +113,7 @@ TEST(AsyncExecutor, RoundRobinPolicyIsJitterFree) {
   Fixture s(32, 8, 1);
   ExecutorOptions o;
   o.policy = SchedulePolicy::kRoundRobin;
-  o.stopping.max_global_iters = 25;
+  o.stopping.max_iters = 25;
   o.stopping.tol = 0.0;
   o.seed = 5;
   Vector x1(32, 0.0), x2(32, 0.0);
@@ -128,7 +128,7 @@ TEST(AsyncExecutor, RoundRobinPolicyIsJitterFree) {
 TEST(AsyncExecutor, VirtualTimeAdvancesWithIterations) {
   Fixture s(64, 16, 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 10;
+  o.stopping.max_iters = 10;
   o.stopping.tol = 0.0;
   o.global_iteration_time = 2.0e-3;
   Vector x(64, 0.0);
@@ -150,7 +150,7 @@ TEST(AsyncExecutor, DivergesOnRhoGreaterThanOne) {
   const BlockJacobiKernel kernel(a, b, RowPartition::uniform(a.rows(), 16),
                                  1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 4000;
+  o.stopping.max_iters = 4000;
   o.stopping.tol = 1e-14;
   o.stopping.divergence_limit = 1e12;
   AsyncExecutor ex(kernel, o);

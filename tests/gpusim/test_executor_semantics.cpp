@@ -34,7 +34,7 @@ ExecutorResult run(const Sys& s, ExecutorOptions o) {
 TEST(ExecutorSemantics, ReadFractionChangesTrajectory) {
   Sys s;
   ExecutorOptions o;
-  o.stopping.max_global_iters = 15;
+  o.stopping.max_iters = 15;
   o.stopping.tol = 0.0;
   o.seed = 3;
   o.read_fraction = 0.0;
@@ -48,7 +48,7 @@ TEST(ExecutorSemantics, ReadFractionChangesTrajectory) {
 TEST(ExecutorSemantics, ReadFractionClamped) {
   Sys s;
   ExecutorOptions o;
-  o.stopping.max_global_iters = 5;
+  o.stopping.max_iters = 5;
   o.stopping.tol = 0.0;
   o.read_fraction = 7.0;  // clamped to 1; must not throw or misorder
   const auto r = run(s, o);
@@ -58,7 +58,7 @@ TEST(ExecutorSemantics, ReadFractionClamped) {
 TEST(ExecutorSemantics, PatternModeSharesScheduleAcrossSeeds) {
   Sys s;
   ExecutorOptions o;
-  o.stopping.max_global_iters = 20;
+  o.stopping.max_iters = 20;
   o.stopping.tol = 0.0;
   o.pattern_seed = 4242;
   o.run_noise = 0.0;  // no per-run noise: runs must be identical
@@ -75,7 +75,7 @@ TEST(ExecutorSemantics, PatternModeSharesScheduleAcrossSeeds) {
 TEST(ExecutorSemantics, PatternModeWithNoiseVariesSlightly) {
   Sys s;
   ExecutorOptions o;
-  o.stopping.max_global_iters = 20;
+  o.stopping.max_iters = 20;
   o.stopping.tol = 0.0;
   o.pattern_seed = 4242;
   o.run_noise = 1.0e-3;
@@ -99,7 +99,7 @@ TEST(ExecutorSemantics, PatternModeWithNoiseVariesSlightly) {
 TEST(ExecutorSemantics, FaultFreezesExactFraction) {
   Sys s(16, 16, 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 12;
+  o.stopping.max_iters = 12;
   o.stopping.tol = 0.0;
   o.scenario = resilience::FaultScenario{}.fail_components(
       /*at=*/2, /*fraction=*/0.5, /*recover_after=*/std::nullopt,
@@ -129,7 +129,7 @@ TEST(ExecutorSemantics, FaultFreezesExactFraction) {
 TEST(ExecutorSemantics, RecoveryTimingHonored) {
   Sys s(16, 32, 2);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 500;
+  o.stopping.max_iters = 500;
   o.stopping.tol = 1e-11;
   o.scenario = resilience::FaultScenario{}.fail_components(
       /*at=*/3, /*fraction=*/0.4, /*recover_after=*/6);
@@ -146,7 +146,7 @@ TEST(ExecutorSemantics, RecoveryTimingHonored) {
 TEST(ExecutorSemantics, HistoryAlignsWithIterationCount) {
   Sys s;
   ExecutorOptions o;
-  o.stopping.max_global_iters = 17;
+  o.stopping.max_iters = 17;
   o.stopping.tol = 0.0;
   const auto r = run(s, o);
   EXPECT_EQ(r.global_iterations, 17);
@@ -158,7 +158,7 @@ TEST(ExecutorSemantics, ShuffledPolicyStillConverges) {
   Sys s(12, 12, 1);
   ExecutorOptions o;
   o.policy = SchedulePolicy::kShuffled;
-  o.stopping.max_global_iters = 4000;
+  o.stopping.max_iters = 4000;
   o.stopping.tol = 1e-11;
   const auto r = run(s, o);
   EXPECT_TRUE(r.ok());
@@ -215,7 +215,7 @@ TEST(ExecutorSemantics, HaloSnapshotCopiesEveryRunExactly) {
     ExecutorOptions o;
     o.concurrent_slots = 1;
     o.policy = policy;
-    o.stopping.max_global_iters = 6;
+    o.stopping.max_iters = 6;
     o.stopping.tol = 0.0;
     AsyncExecutor ex(kernel, o);
     Vector x(20);

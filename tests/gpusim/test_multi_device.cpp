@@ -50,7 +50,7 @@ ExecutorResult run_with(Fixture& s, ExecutorOptions o) {
 ExecutorResult run_with(Fixture& s, TransferScheme scheme, index_t devices,
                         index_t max_iters = 5000, value_t tol = 1e-11) {
   ExecutorOptions o = multi(devices, scheme);
-  o.stopping.max_global_iters = max_iters;
+  o.stopping.max_iters = max_iters;
   o.stopping.tol = tol;
   o.seed = 77;
   return run_with(s, o);
@@ -126,7 +126,7 @@ TEST(MultiDevice, ResultMatchesSolutionAcrossSchemes) {
     Vector x(s.b.size(), 0.0);
     ExecutorOptions o = multi(1, TransferScheme::kAMC);
     o.stopping.tol = 1e-12;
-    o.stopping.max_global_iters = 20000;
+    o.stopping.max_iters = 20000;
     AsyncExecutor ex(s.kernel, o);
     (void)ex.run(x, [&](const Vector& v) { return s.residual(v); });
     return x;
@@ -134,7 +134,7 @@ TEST(MultiDevice, ResultMatchesSolutionAcrossSchemes) {
   for (auto scheme : {TransferScheme::kDC, TransferScheme::kDK}) {
     ExecutorOptions o = multi(3, scheme);
     o.stopping.tol = 1e-12;
-    o.stopping.max_global_iters = 20000;
+    o.stopping.max_iters = 20000;
     AsyncExecutor ex(s.kernel, o);
     Vector x(s.b.size(), 0.0);
     (void)ex.run(x, [&](const Vector& v) { return s.residual(v); });
@@ -168,7 +168,7 @@ TEST(MultiDevice, AmcTraceCountsEveryExecution) {
   Fixture s;
   for (index_t devices : {2, 4}) {
     ExecutorOptions o = multi(devices, TransferScheme::kAMC);
-    o.stopping.max_global_iters = 30;
+    o.stopping.max_iters = 30;
     o.stopping.tol = 0.0;
     o.record_trace = true;
     const ExecutorResult r = run_with(s, o);
@@ -199,7 +199,7 @@ TEST(MultiDevice, CommitStreamCarriesDeviceAndStaleness) {
   Fixture s;
   CommitRecorder rec;
   ExecutorOptions o = multi(2, TransferScheme::kAMC);
-  o.stopping.max_global_iters = 20;
+  o.stopping.max_iters = 20;
   o.stopping.tol = 0.0;
   o.telemetry.observer = &rec;
   o.telemetry.block_commits = true;

@@ -97,7 +97,7 @@ void expect_identical(const ExecutorResult& a, const Vector& xa,
 TEST(ParallelExecutor, RoundRobinBitIdenticalToSerial) {
   Sys s(640, 8, 1);  // q = 80 blocks
   ExecutorOptions o;
-  o.stopping.max_global_iters = 40;
+  o.stopping.max_iters = 40;
   o.stopping.tol = 1e-30;
   o.policy = SchedulePolicy::kRoundRobin;
   o.concurrent_slots = 80;  // full-width batches
@@ -113,7 +113,7 @@ TEST(ParallelExecutor, RoundRobinBitIdenticalToSerial) {
 TEST(ParallelExecutor, BitIdenticalWithPartialSlotsAndLocalSweeps) {
   Sys s(640, 8, 5);  // async-(5)
   ExecutorOptions o;
-  o.stopping.max_global_iters = 30;
+  o.stopping.max_iters = 30;
   o.stopping.tol = 1e-30;
   o.policy = SchedulePolicy::kRoundRobin;
   o.concurrent_slots = 13;  // batches smaller than q, uneven waves
@@ -133,7 +133,7 @@ TEST(ParallelExecutor, BitIdenticalWhenConvergingMidBatch) {
   // inside the iteration budget.
   Sys s(320, 8, 2, /*dominant=*/true);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 400;
+  o.stopping.max_iters = 400;
   o.stopping.tol = 1e-10;
   o.policy = SchedulePolicy::kRoundRobin;
   o.concurrent_slots = 40;
@@ -151,7 +151,7 @@ TEST(ParallelExecutor, JitteredPolicyAlsoIdentical) {
   // size one — the path must still agree bit-for-bit.
   Sys s(320, 8, 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 25;
+  o.stopping.max_iters = 25;
   o.stopping.tol = 1e-30;
   o.seed = 7;
   o.policy = SchedulePolicy::kJittered;

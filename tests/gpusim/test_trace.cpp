@@ -20,7 +20,7 @@ ExecutorResult traced_run(index_t n, index_t block, index_t iters,
   kernel = std::make_unique<BlockJacobiKernel>(
       a, b, RowPartition::uniform(a.rows(), block), 1);
   o.record_trace = true;
-  o.stopping.max_global_iters = iters;
+  o.stopping.max_iters = iters;
   o.stopping.tol = 0.0;
   AsyncExecutor ex(*kernel, o);
   Vector x(b.size(), 0.0);
@@ -76,7 +76,7 @@ TEST(Trace, DisabledByDefault) {
   static Vector b(16, 1.0);
   static BlockJacobiKernel kernel(a, b, RowPartition::uniform(16, 4), 1);
   ExecutorOptions o;
-  o.stopping.max_global_iters = 5;
+  o.stopping.max_iters = 5;
   o.stopping.tol = 0.0;
   AsyncExecutor ex(kernel, o);
   Vector x(16, 0.0);

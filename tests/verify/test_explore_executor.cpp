@@ -50,7 +50,7 @@ gpusim::ExecutorResult run_exec(const Sys& s, gpusim::ExecutorOptions o,
 
 gpusim::ExecutorOptions small_opts() {
   gpusim::ExecutorOptions o;
-  o.stopping.max_global_iters = 2;
+  o.stopping.max_iters = 2;
   o.stopping.tol = 1e-30;  // never converges: fixed-length run
   o.policy = gpusim::SchedulePolicy::kRoundRobin;
   o.concurrent_slots = 4;  // full-width batches over all 4 blocks
