@@ -2,8 +2,9 @@
 /// one line per configuration, `<config> <hash>`, where the hash is
 /// 64-bit FNV-1a over the iterate's bits, the iteration count, the
 /// status, the final residual's bits, the residual and time histories,
-/// and for block-async runs the per-block execution counts and the max
-/// staleness. Two builds whose outputs are byte-identical produced
+/// and for block-async runs the per-block execution counts, the max
+/// staleness, the virtual time, the transfer traffic and counts, and the
+/// resilience report. Two builds whose outputs are byte-identical produced
 /// bit-identical solves on every configuration; `diff` of two outputs
 /// names the configurations that changed.
 ///
@@ -12,7 +13,9 @@
 ///    Trefethen_2000 with perturbed off-diagonals × block 64/448 ×
 ///    async-(1)/(5) × local Jacobi/Gauss-Seidel × overlap 0/3 × the
 ///    three schedule policies × {plain, corrupt_halo + fail_components}
-///    × backend scalar/auto, then AMC, DC and DK on 2 devices. "auto"
+///    × backend scalar/auto, then AMC, DC and DK on 2, 3 and 4 devices,
+///    and per matrix one corrupt_iterate line and one line under the
+///    default resilience policy (corrupt_iterate + fail_components). "auto"
 ///    falls back to scalar where the SIMD backend cannot express the
 ///    configuration (Gauss-Seidel, overlap), so those lines repeat the
 ///    scalar hash by design. On the first two matrices every
@@ -94,6 +97,19 @@ struct Problem {
   Csr a;
 };
 
+void hash_report(Fnv1a& h, const resilience::Report& r) {
+  h.value(r.checkpoints_saved);
+  h.value(r.detections);
+  hash_vector(h, r.detection_iterations);
+  h.value(r.rollbacks);
+  h.value(r.damped_restarts);
+  h.value(r.watchdog_reassignments);
+  h.value(r.components_reassigned);
+  hash_vector(h, r.stalled_blocks);
+  h.value(r.halo_corruptions);
+  h.value(r.transfer_retries);
+}
+
 void emit(const std::string& config, const Csr& a, const BlockAsyncOptions& o) {
   const Vector b = bench::unit_rhs(a.rows());
   const BlockAsyncResult r = block_async_solve(a, b, o);
@@ -101,6 +117,11 @@ void emit(const std::string& config, const Csr& a, const BlockAsyncOptions& o) {
   hash_solve(h, r.solve);
   hash_vector(h, r.block_executions);
   h.value(r.max_staleness);
+  h.value(r.virtual_time);
+  h.value(r.bytes_host_device);
+  h.value(r.bytes_device_device);
+  h.value(r.num_transfers);
+  hash_report(h, r.resilience);
   print(config, h);
 }
 
@@ -276,16 +297,30 @@ int main(int argc, char** argv) {
       {"dc", gpusim::TransferScheme::kDC},
       {"dk", gpusim::TransferScheme::kDK}};
   for (const Problem& p : problems) {
-    for (const index_t k : ks) {
-      for (const auto& [sname, scheme] : schemes) {
-        BlockAsyncOptions o = base_options();
-        o.block_size = 64;
-        o.local_iters = k;
-        o.num_devices = 2;
-        o.scheme = scheme;
-        emit(p.name + " b64 k" + std::to_string(k) + " 2dev " + sname, p.a, o);
+    for (const index_t devices : {2, 3, 4}) {
+      for (const index_t k : ks) {
+        for (const auto& [sname, scheme] : schemes) {
+          BlockAsyncOptions o = base_options();
+          o.block_size = 64;
+          o.local_iters = k;
+          o.num_devices = devices;
+          o.scheme = scheme;
+          emit(p.name + " b64 k" + std::to_string(k) + " " +
+                   std::to_string(devices) + "dev " + sname,
+               p.a, o);
+        }
       }
     }
+  }
+  for (const Problem& p : problems) {
+    BlockAsyncOptions o = base_options();
+    o.block_size = 64;
+    o.local_iters = 5;
+    o.scenario = resilience::FaultScenario{}.corrupt_iterate(10, 1e6);
+    emit(p.name + " b64 k5 corrupt_iterate", p.a, o);
+    o.scenario->fail_components(20, 0.1, 10);
+    o.resilience = resilience::Policy{};
+    emit(p.name + " b64 k5 corrupt_iterate+fail resilience", p.a, o);
   }
   return 0;
 }
