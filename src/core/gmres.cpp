@@ -93,26 +93,25 @@ SolveResult gmres_solve(const Csr& a, const Vector& b,
 
       ++res.iterations;
       rel = std::abs(g[k + 1]) / den;
-      rec.record(res.iterations, rel);
 
       // Inside a cycle the rule sees the Givens estimate; any verdict
       // ends the cycle, and the restart boundary confirms it on the
-      // true residual.
-      if (rec.rule().verdict(res.iterations, rel)) {
+      // true residual. The cycle's last step is recorded once, after
+      // the update below, with that true residual.
+      if (k + 1 == m || rec.rule().verdict(res.iterations, rel)) {
         ++k;
         break;
       }
       // Lucky breakdown: exact solution found in this subspace.
-      if (k + 1 < m) {
-        const value_t wnorm = norm2(w);
-        if (wnorm == 0.0) {
-          ++k;
-          break;
-        }
-        Vector next = w;
-        scale(1.0 / wnorm, next);
-        v.push_back(std::move(next));
+      const value_t wnorm = norm2(w);
+      if (wnorm == 0.0) {
+        ++k;
+        break;
       }
+      rec.record(res.iterations, rel);
+      Vector next = w;
+      scale(1.0 / wnorm, next);
+      v.push_back(std::move(next));
     }
 
     // Back-substitute y from the k x k triangular system and update x.
@@ -125,9 +124,7 @@ SolveResult gmres_solve(const Csr& a, const Vector& b,
     for (std::size_t i = 0; i < k; ++i) axpy(y[i], v[i], res.x);
 
     rel = relative_residual(a, b, res.x);
-    if (opts.solve.record_history && !res.residual_history.empty()) {
-      res.residual_history.back() = rel;  // replace estimate with true
-    }
+    rec.record(res.iterations, rel);
   }
   rec.finish(*stop, rel);
   return res;

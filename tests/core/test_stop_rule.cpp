@@ -88,11 +88,15 @@ RegistrySolveOptions unreachable_options() {
   return o;
 }
 
-/// Counts the observer callbacks and keeps their order.
+/// Counts the observer callbacks and keeps their order and each
+/// iteration event's residual.
 class CountingObserver final : public telemetry::SolveObserver {
  public:
   void on_start(const telemetry::SolveStartEvent&) override { seq += 'S'; }
-  void on_iteration(const telemetry::IterationEvent&) override { seq += 'I'; }
+  void on_iteration(const telemetry::IterationEvent& ev) override {
+    seq += 'I';
+    residuals.push_back(ev.residual);
+  }
   void on_finish(const telemetry::SolveFinishEvent& ev) override {
     seq += 'F';
     finish = ev;
@@ -102,6 +106,7 @@ class CountingObserver final : public telemetry::SolveObserver {
   }
 
   std::string seq;
+  std::vector<value_t> residuals;
   telemetry::SolveFinishEvent finish;
 };
 
@@ -179,6 +184,8 @@ TEST_P(StopConformance, ObservedRunBracketsOneEventPerBoundary) {
   EXPECT_EQ(obs.finish.status, r.status) << GetParam();
   EXPECT_EQ(obs.finish.iterations, r.iterations) << GetParam();
   EXPECT_EQ(obs.finish.final_residual, r.final_residual) << GetParam();
+  // Observers and the history see the same value at every boundary.
+  EXPECT_EQ(obs.residuals, r.residual_history) << GetParam();
 }
 
 TEST_P(StopConformance, EmptySystemConvergesAtBoundaryZero) {
