@@ -28,36 +28,15 @@ struct SilentErrorReport {
   value_t jump_ratio = 0.0;    ///< residual ratio at the anomaly
 };
 
-struct DetectorOptions {
-  /// Flag when r_{k+1} / r_k exceeds this multiple of the recent trend.
-  value_t jump_factor = 10.0;
-  /// Flag when the residual fails to contract by at least this factor
-  /// over `stall_window` iterations (while far from the rounding floor).
-  index_t stall_window = 10;
-  value_t stall_factor = 0.9;
-  value_t floor = 1e-13;
-  /// Iterations to establish the trend before detection arms.
-  index_t warmup = 3;
-};
-
 /// Scan a residual history for corruption signatures. Robust to
 /// degenerate inputs: empty/one-entry histories, histories already at
 /// the rounding floor, and warmup >= history.size() all return
-/// detected = false. Implemented as a replay through the streaming
-/// detector below, so batch and online verdicts always agree.
+/// detected = false. Implemented as a replay through
+/// resilience::OnlineResidualDetector (the online mode the executors
+/// run under BlockAsyncOptions::resilience), so batch and online
+/// verdicts always agree.
 [[nodiscard]] SilentErrorReport detect_silent_error(
-    const std::vector<value_t>& history, const DetectorOptions& opts = {});
-
-/// Online/streaming mode of the same detector: push one residual per
-/// global iteration and the anomaly is reported the moment it appears,
-/// enabling mid-run rollback instead of post-hoc diagnosis. This is
-/// what the executors run when BlockAsyncOptions::resilience enables
-/// online_detection.
-[[nodiscard]] resilience::OnlineResidualDetector make_online_detector(
-    const DetectorOptions& opts = {});
-
-/// DetectorOptions -> the resilience layer's equivalent.
-[[nodiscard]] resilience::AnomalyOptions to_anomaly_options(
-    const DetectorOptions& opts);
+    const std::vector<value_t>& history,
+    const resilience::AnomalyOptions& opts = {});
 
 }  // namespace bars

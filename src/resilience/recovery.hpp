@@ -64,13 +64,17 @@ class CheckpointStore {
 
 // ------------------------------------------------------------ online detector
 
-/// Mirrors core::DetectorOptions (silent_error.hpp); duplicated here so
-/// the resilience layer stays below core in the dependency order.
+/// Thresholds of the residual-anomaly detector, shared by the online
+/// mode below and the batch core::detect_silent_error.
 struct AnomalyOptions {
+  /// Flag when r_{k+1} / r_k exceeds this multiple of the recent trend.
   value_t jump_factor = 10.0;
+  /// Flag when the residual fails to contract by at least this factor
+  /// over `stall_window` iterations (while far from the rounding floor).
   index_t stall_window = 10;
   value_t stall_factor = 0.9;
   value_t floor = 1e-13;
+  /// Iterations to establish the trend before detection arms.
   index_t warmup = 3;
 };
 

@@ -70,7 +70,7 @@ TEST(Detector, HistoryEntirelyAtFloorNotFlagged) {
 }
 
 TEST(Detector, WarmupLongerThanHistoryNotFlagged) {
-  DetectorOptions o;
+  resilience::AnomalyOptions o;
   o.warmup = 100;
   auto h = geometric(1.0, 0.5, 10);
   h.push_back(h.back() * 1e6);  // jump inside the warmup window
@@ -81,7 +81,7 @@ TEST(Detector, DegenerateOptionsAreSafe) {
   // Negative warmup / stall_window clamp to "never arm that check"
   // rather than UB; a clean decay stays clean, an obvious jump is
   // still caught once warmup (clamped to 0) has passed.
-  DetectorOptions o;
+  resilience::AnomalyOptions o;
   o.warmup = -5;
   o.stall_window = -1;
   EXPECT_FALSE(detect_silent_error(geometric(1.0, 0.5, 20), o).detected);

@@ -133,7 +133,7 @@ TEST(OnlineDetector, StreamingMatchesBatchDetector) {
     r *= 0.6;
   }
   const SilentErrorReport batch = detect_silent_error(history);
-  resilience::OnlineResidualDetector online = make_online_detector();
+  resilience::OnlineResidualDetector online;
   std::optional<resilience::Anomaly> hit;
   for (value_t s : history) {
     if ((hit = online.push(s))) break;
