@@ -28,9 +28,9 @@ namespace bars {
 /// rows). The overlap rows are seeded from the current iterate at
 /// update time; the halo consists of columns outside the working range.
 ///
-/// Construct through the backend registry (backend::build_kernel or
-/// find_backend("scalar")) — bars_lint's `backend-seam` rule bans
-/// direct construction outside src/backend.
+/// Construct through backend::build_kernel (the "scalar" backend) —
+/// bars_lint's `backend-seam` rule bans direct construction outside
+/// src/backend.
 class BlockJacobiKernel final : public backend::detail::SweepKernelBase {
  public:
   /// Throws if `a` is not square, has a zero diagonal, or the partition

@@ -8,54 +8,43 @@
 #include "telemetry/metrics.hpp"
 
 /// \file registry.hpp
-/// String-keyed registry of compute backends, mirroring the solver
-/// registry (core/registry.hpp): tools and options structs carry a
-/// backend *name*, and the lookup happens once per solve at setup time.
+/// The kernel factory. Tools and options structs carry a backend
+/// *name*; build_kernel turns it into a kernel once per solve, at setup
+/// time. A backend is one branch of build_kernel:
+///   "scalar" — BlockJacobiKernel, the full KernelConfig.
+///   "simd"   — SimdBlockSweepKernel (AVX2/FMA padded slices); Jacobi
+///              sweeps, overlap 0.
+///   "auto"   — "simd" when simd_available(), else "scalar" ("" too).
 ///
-/// Built-in providers:
-///   "scalar" — BlockJacobiKernel, always available, full KernelConfig.
-///   "simd"   — AVX2/FMA padded-slice kernel; available when compiled
-///              in AND the cpu executes AVX2+FMA; Jacobi, overlap 0.
-///   "auto"   — resolves to "simd" when available, else "scalar".
-///
-/// Degradation policy (build_kernel): a requested backend that is
-/// unavailable on this machine, or cannot express the configuration,
-/// degrades to "scalar" — recorded on the caller's MetricsRegistry as
-/// `backend_fallbacks` plus a per-backend `backend_used_<name>`
-/// counter. Unknown names always throw std::invalid_argument: a typo
-/// is a bug, a missing ISA is an environment.
+/// Degradation policy: when the SIMD kernel throws backend_unsupported
+/// (AVX2+FMA missing, or a configuration it cannot express), the
+/// kernel is built on "scalar" instead — recorded on the caller's
+/// MetricsRegistry as `backend_fallbacks` plus a per-backend
+/// `backend_used_<name>` counter. Unknown names always throw
+/// std::invalid_argument: a typo is a bug, a missing ISA is an
+/// environment.
 
 namespace bars::backend {
 
-/// Names of all registered backends, in registration order ("auto" is
-/// a selection alias, not listed).
+/// The kernels build_kernel can build.
+enum class BackendKind { kScalar, kSimd };
+
+/// The backend names, "scalar" then "simd" ("auto" is a selection
+/// alias, not listed).
 [[nodiscard]] std::vector<std::string> backend_names();
 
-/// Look up a backend by name ("auto" resolves to the best available
-/// provider). Throws std::invalid_argument for unknown names (message
-/// lists the valid ones). The reference stays valid for the process
-/// lifetime — backends are never unregistered.
-[[nodiscard]] const KernelBackend& find_backend(const std::string& name);
+/// The kernel build_kernel tries first for `name` when the SIMD kernel
+/// is (`simd`) or is not available: "auto" and "" pick kSimd only when
+/// it is. Throws std::invalid_argument for unknown names (the message
+/// lists the valid ones).
+[[nodiscard]] BackendKind resolve_backend(const std::string& name, bool simd);
 
-/// Register a custom provider. Throws std::invalid_argument when the
-/// name is empty, "auto", or already taken. The registry takes
-/// ownership; the backend lives for the rest of the process.
-void register_backend(std::unique_ptr<KernelBackend> provider);
-
-/// Resolve `name` ("" behaves like "auto") to a usable provider,
-/// degrading to "scalar" when the named backend is not available on
-/// this machine. When `metrics` is non-null the resolution is recorded:
-/// `backend_used_<resolved>` always, `backend_fallbacks` when the
-/// request degraded. Throws std::invalid_argument for unknown names.
-[[nodiscard]] const KernelBackend& select_backend(
-    const std::string& name, telemetry::MetricsRegistry* metrics = nullptr);
-
-/// The one-stop kernel factory every solver front-end uses: select the
-/// backend (with availability fallback, above), then build the kernel —
-/// additionally degrading to "scalar" when the selected backend rejects
-/// this particular `config` with backend_unsupported (also counted as a
-/// fallback). Input errors (std::invalid_argument from the kernel
-/// constructor) propagate unchanged.
+/// The one kernel factory every solver front-end uses: resolve `name`
+/// against simd_available(), then build that kernel — degrading to
+/// "scalar" when the SIMD kernel throws backend_unsupported (counted as
+/// a fallback). When `metrics` is non-null, `backend_used_<name>`
+/// counts the kernel built. Input errors (std::invalid_argument from
+/// the kernel constructor) propagate unchanged.
 [[nodiscard]] std::unique_ptr<BlockSweepKernel> build_kernel(
     const std::string& name, const Csr& a, const Vector& b,
     RowPartition partition, const KernelConfig& config,

@@ -95,7 +95,7 @@ void simd_update_block(const SimdBlockLayout& blk,
 [[nodiscard]] bool simd_available() noexcept;
 
 /// BlockSweepKernel over the padded slice layout above. Construct
-/// through the backend registry; throws backend_unsupported when
+/// through backend::build_kernel; throws backend_unsupported when
 /// simd_available() is false or the configuration needs Gauss-Seidel
 /// sweeps or overlap.
 class SimdBlockSweepKernel final : public detail::SweepKernelBase {

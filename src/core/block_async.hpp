@@ -43,7 +43,8 @@ struct BlockAsyncOptions {
 
   /// Compute backend building the block-sweep kernel (see
   /// backend/registry.hpp and docs/BACKENDS.md): "scalar", "simd", or
-  /// "auto". An unavailable backend degrades to "scalar" (counted on
+  /// "auto". A backend that cannot run here or cannot express the
+  /// configuration degrades to "scalar" (counted on
   /// solve.telemetry.metrics when attached). The default stays "scalar"
   /// so seeded runs remain bit-identical across machines; opt into
   /// "simd"/"auto" where the documented FP tolerance is acceptable.

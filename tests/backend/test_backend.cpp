@@ -1,8 +1,8 @@
-/// Backend seam contract tests: registry round-trips, the degradation
-/// policy (unavailable backend / unsupported config -> scalar, counted
-/// on the caller's metrics), lifecycle fail-fast, and the cross-backend
-/// kernel guarantees the solvers rely on (parallel-commit bit-identity,
-/// scalar-vs-simd elementwise agreement).
+/// Kernel factory tests: name resolution, the degradation policy
+/// (unavailable SIMD kernel / unsupported config -> scalar, counted on
+/// the caller's metrics), and the cross-backend kernel guarantees the
+/// solvers rely on (parallel-commit bit-identity, scalar-vs-simd
+/// elementwise agreement).
 
 #include "backend/registry.hpp"
 
@@ -32,25 +32,12 @@ long long count(telemetry::MetricsRegistry& m, const std::string& name) {
   return static_cast<long long>(m.counter(name).value());
 }
 
-/// A provider that exists in the registry but can never run here —
-/// the shape of a CUDA backend on a machine without a GPU.
-class UnavailableBackend final : public KernelBackend {
- public:
-  explicit UnavailableBackend(std::string name) : name_(std::move(name)) {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
-  }
-  [[nodiscard]] BackendCaps caps() const noexcept override { return {}; }
-  [[nodiscard]] bool available() const noexcept override { return false; }
-  [[nodiscard]] std::unique_ptr<BlockSweepKernel> make_kernel(
-      const Csr&, const Vector&, RowPartition,
-      const KernelConfig&) const override {
-    throw backend_unsupported(name_ + " cannot build kernels");
-  }
-
- private:
-  std::string name_;
-};
+/// The backends that can build a kernel on this host.
+std::vector<std::string> runnable_backends() {
+  std::vector<std::string> names = {"scalar"};
+  if (simd_available()) names.emplace_back("simd");
+  return names;
+}
 
 /// Diagonally dominant matrix with a seeded random pattern: up to five
 /// off-diagonal entries per row, plus couplings to columns 0 and n - 1.
@@ -76,108 +63,118 @@ Csr random_pattern(index_t n, std::uint64_t seed) {
 
 // ------------------------------------------------------------ registry
 
-TEST(BackendRegistry, RoundTripAllProviders) {
-  const std::vector<std::string> names = backend_names();
-  ASSERT_FALSE(names.empty());
-  EXPECT_NE(std::find(names.begin(), names.end(), "scalar"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "simd"), names.end());
-  for (const std::string& n : names) {
-    const KernelBackend& p = find_backend(n);
-    EXPECT_EQ(p.name(), n);
-    EXPECT_GE(p.caps().vector_width, 1) << n;
-  }
-  // The scalar reference backend is available everywhere, by contract.
-  EXPECT_TRUE(find_backend("scalar").available());
-  EXPECT_EQ(find_backend("scalar").caps().vector_width, 1);
-  EXPECT_GT(find_backend("simd").caps().vector_width, 1);
+TEST(BackendRegistry, NamesAreScalarThenSimd) {
+  EXPECT_EQ(backend_names(), (std::vector<std::string>{"scalar", "simd"}));
 }
 
 TEST(BackendRegistry, UnknownNameThrowsListingValidOnes) {
-  try {
-    (void)find_backend("cuda");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("cuda"), std::string::npos);
-    EXPECT_NE(msg.find("scalar"), std::string::npos);
-    EXPECT_NE(msg.find("simd"), std::string::npos);
-    EXPECT_NE(msg.find("auto"), std::string::npos);
+  for (const bool simd : {false, true}) {
+    try {
+      (void)resolve_backend("cuda", simd);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("cuda"), std::string::npos);
+      EXPECT_NE(msg.find("scalar"), std::string::npos);
+      EXPECT_NE(msg.find("simd"), std::string::npos);
+      EXPECT_NE(msg.find("auto"), std::string::npos);
+    }
   }
+  const Csr a = fv_like(6, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  EXPECT_THROW((void)build_kernel("cuda", a, b,
+                                  RowPartition::uniform(a.rows(), 8), {}),
+               std::invalid_argument);
 }
 
 TEST(BackendRegistry, AutoResolvesToAnAvailableProvider) {
-  const KernelBackend& chosen = find_backend("auto");
-  EXPECT_TRUE(chosen.available());
-  // "" is the same selection alias as "auto".
-  EXPECT_EQ(&find_backend(""), &chosen);
-  if (simd_available()) {
-    EXPECT_EQ(chosen.name(), "simd");
-  } else {
-    EXPECT_EQ(chosen.name(), "scalar");
+  for (const bool simd : {false, true}) {
+    EXPECT_EQ(resolve_backend("scalar", simd), BackendKind::kScalar);
+    // An explicit "simd" is tried even without AVX2: the SIMD kernel's
+    // constructor then throws backend_unsupported and build_kernel
+    // counts the fallback.
+    EXPECT_EQ(resolve_backend("simd", simd), BackendKind::kSimd);
+    const BackendKind best = simd ? BackendKind::kSimd : BackendKind::kScalar;
+    EXPECT_EQ(resolve_backend("auto", simd), best);
+    // "" is the same selection alias as "auto".
+    EXPECT_EQ(resolve_backend("", simd), best);
   }
 }
 
-TEST(BackendRegistry, RegisterRejectsNullReservedAndDuplicate) {
-  EXPECT_THROW(register_backend(nullptr), std::invalid_argument);
-  EXPECT_THROW(register_backend(std::make_unique<UnavailableBackend>("")),
-               std::invalid_argument);
-  EXPECT_THROW(register_backend(std::make_unique<UnavailableBackend>("auto")),
-               std::invalid_argument);
-  EXPECT_THROW(
-      register_backend(std::make_unique<UnavailableBackend>("scalar")),
-      std::invalid_argument);
+TEST(BackendRegistry, AutoCountsNoFallback) {
+  const Csr a = fv_like(6, 0.5);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  for (const std::string name : {"auto", ""}) {
+    telemetry::MetricsRegistry m;
+    const auto kernel = build_kernel(
+        name, a, b, RowPartition::uniform(a.rows(), 8), {}, &m);
+    const std::string want = simd_available() ? "simd" : "scalar";
+    EXPECT_EQ(kernel->backend_name(), want);
+    EXPECT_EQ(count(m, "backend_used_" + want), 1);
+    EXPECT_EQ(count(m, "backend_fallbacks"), 0);
+  }
 }
 
 // -------------------------------------------------- degradation policy
 
-TEST(BackendRegistry, UnavailableBackendDegradesToScalarWithTelemetry) {
-  register_backend(std::make_unique<UnavailableBackend>("test-gpu"));
-  // Registered but not runnable: selection degrades to scalar and the
-  // caller's metrics record both the fallback and what actually ran.
-  telemetry::MetricsRegistry m;
-  const KernelBackend& used = select_backend("test-gpu", &m);
-  EXPECT_EQ(used.name(), "scalar");
-  EXPECT_EQ(count(m, "backend_used_scalar"), 1);
-  EXPECT_EQ(count(m, "backend_fallbacks"), 1);
-
+TEST(BackendRegistry, UnsupportedConfigDegradesToScalar) {
+  // "simd" cannot express Gauss-Seidel sweeps or overlap; whether AVX2
+  // is present or not, build_kernel must degrade to scalar and count a
+  // fallback — never throw backend_unsupported at the caller. "auto"
+  // degrades the same way when it picks "simd".
   const Csr a = fv_like(6, 0.5);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  const auto kernel = build_kernel(
-      "test-gpu", a, b, RowPartition::uniform(a.rows(), 8), {}, &m);
-  ASSERT_NE(kernel, nullptr);
-  EXPECT_EQ(kernel->backend_name(), "scalar");
-  EXPECT_EQ(count(m, "backend_used_scalar"), 2);
-  EXPECT_EQ(count(m, "backend_fallbacks"), 2);
+  KernelConfig gs;
+  gs.local_iters = 2;
+  gs.sweep = LocalSweep::kGaussSeidel;
+  KernelConfig overlap;
+  overlap.overlap = 2;
+  for (const KernelConfig& config : {gs, overlap}) {
+    for (const std::string name : {"simd", "auto"}) {
+      telemetry::MetricsRegistry m;
+      const auto kernel = build_kernel(
+          name, a, b, RowPartition::uniform(a.rows(), 8), config, &m);
+      ASSERT_NE(kernel, nullptr);
+      EXPECT_EQ(kernel->backend_name(), "scalar");
+      EXPECT_EQ(kernel->local_iters(), config.local_iters);
+      EXPECT_EQ(kernel->overlap(), config.overlap);
+      const long long fell_back =
+          (name == "simd" || simd_available()) ? 1 : 0;
+      EXPECT_EQ(count(m, "backend_fallbacks"), fell_back) << name;
+      EXPECT_EQ(count(m, "backend_used_scalar"), 1) << name;
+      EXPECT_EQ(count(m, "backend_used_simd"), 0) << name;
+    }
+  }
 }
 
-TEST(BackendRegistry, UnsupportedConfigDegradesToScalar) {
-  // "simd" cannot express Gauss-Seidel sweeps; whether it is available
-  // on this machine or not, build_kernel must degrade to scalar and
-  // count a fallback — never throw backend_unsupported at the caller.
+TEST(BackendRegistry, SimdWithoutAvx2DegradesToScalar) {
+  if (simd_available()) {
+    GTEST_SKIP() << "AVX2+FMA available: no degradation to observe";
+  }
   const Csr a = fv_like(6, 0.5);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  KernelConfig config;
-  config.local_iters = 2;
-  config.sweep = LocalSweep::kGaussSeidel;
   telemetry::MetricsRegistry m;
   const auto kernel = build_kernel(
-      "simd", a, b, RowPartition::uniform(a.rows(), 8), config, &m);
-  ASSERT_NE(kernel, nullptr);
+      "simd", a, b, RowPartition::uniform(a.rows(), 8), {}, &m);
   EXPECT_EQ(kernel->backend_name(), "scalar");
-  EXPECT_EQ(kernel->local_iters(), 2);
-  EXPECT_GE(count(m, "backend_fallbacks"), 1);
-  EXPECT_GE(count(m, "backend_used_scalar"), 1);
+  EXPECT_EQ(count(m, "backend_used_scalar"), 1);
+  EXPECT_EQ(count(m, "backend_fallbacks"), 1);
 }
 
 TEST(BackendRegistry, ScalarRequestNeverFallsBack) {
   const Csr a = fv_like(6, 0.5);
   const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  telemetry::MetricsRegistry m;
-  const auto kernel = build_kernel(
-      "scalar", a, b, RowPartition::uniform(a.rows(), 8), {}, &m);
-  EXPECT_EQ(kernel->backend_name(), "scalar");
-  EXPECT_EQ(count(m, "backend_used_scalar"), 1);
-  EXPECT_EQ(count(m, "backend_fallbacks"), 0);
+  KernelConfig gs;
+  gs.sweep = LocalSweep::kGaussSeidel;
+  gs.overlap = 2;
+  for (const KernelConfig& config : {KernelConfig{}, gs}) {
+    telemetry::MetricsRegistry m;
+    const auto kernel = build_kernel(
+        "scalar", a, b, RowPartition::uniform(a.rows(), 8), config, &m);
+    EXPECT_EQ(kernel->backend_name(), "scalar");
+    EXPECT_EQ(count(m, "backend_used_scalar"), 1);
+    EXPECT_EQ(count(m, "backend_fallbacks"), 0);
+  }
 }
 
 TEST(BackendRegistry, InputErrorsPropagateNotDegraded) {
@@ -187,24 +184,11 @@ TEST(BackendRegistry, InputErrorsPropagateNotDegraded) {
   const Csr bad(2, 2, {0, 1, 2}, {1, 0}, {1.0, 1.0});
   const Vector b(2, 1.0);
   for (const std::string& name : backend_names()) {
-    if (!find_backend(name).available()) continue;
     EXPECT_THROW((void)build_kernel(name, bad, b,
                                     RowPartition::uniform(bad.rows(), 2), {}),
                  std::invalid_argument)
         << name;
   }
-}
-
-// ------------------------------------------------------------ lifecycle
-
-TEST(BackendLifecycle, InitFailsFastWhenUnavailable) {
-  const UnavailableBackend gpu("test-lifecycle");
-  EXPECT_THROW(gpu.init(), backend_unsupported);
-  // finalize() must be safe without init() and when called repeatedly.
-  EXPECT_NO_THROW(gpu.finalize());
-  EXPECT_NO_THROW(gpu.finalize());
-  EXPECT_NO_THROW(find_backend("scalar").init());
-  EXPECT_NO_THROW(find_backend("scalar").finalize());
 }
 
 // ------------------------------------------- cross-backend kernel laws
@@ -218,8 +202,7 @@ TEST(BackendKernel, EveryAvailableBackendSolves) {
   o.local_iters = 3;
   o.solve.max_iters = 3000;
   o.solve.tol = 1e-11;
-  for (const std::string& name : backend_names()) {
-    if (!find_backend(name).available()) continue;
+  for (const std::string& name : runnable_backends()) {
     const auto kernel = build_kernel(
         name, a, b, RowPartition::uniform(a.rows(), o.block_size),
         {o.local_iters});
@@ -234,8 +217,8 @@ TEST(BackendKernel, EveryAvailableBackendSolves) {
 }
 
 TEST(BackendKernel, ParallelCommitBitIdenticalPerBackend) {
-  // Re-prove the parallel-commit contract *through the seam*: every
-  // backend whose caps declare parallel_commit_safe must produce
+  // Re-prove the parallel-commit contract *through the factory*: every
+  // kernel that declares itself parallel_commit_safe() must produce
   // bitwise-identical histories with and without the worker pool.
   const Csr a = trefethen(640);
   const Vector b(640, 1.0);
@@ -245,23 +228,33 @@ TEST(BackendKernel, ParallelCommitBitIdenticalPerBackend) {
   o.solve.max_iters = 30;
   o.solve.tol = 0.0;
   o.solve.record_history = true;
-  for (const std::string& name : backend_names()) {
-    const KernelBackend& p = find_backend(name);
-    if (!p.available() || !p.caps().parallel_commit_safe) continue;
-    const auto kernel = build_kernel(
-        name, a, b, RowPartition::uniform(a.rows(), o.block_size),
-        {o.local_iters});
-    ASSERT_TRUE(kernel->parallel_commit_safe()) << name;
-    o.num_workers = 0;
-    const BlockAsyncResult serial =
-        block_async_solve_with_kernel(a, b, *kernel, o);
-    o.num_workers = 4;
-    const BlockAsyncResult parallel =
-        block_async_solve_with_kernel(a, b, *kernel, o);
-    EXPECT_EQ(serial.solve.x, parallel.solve.x) << name;  // bitwise
-    EXPECT_EQ(serial.solve.residual_history, parallel.solve.residual_history)
-        << name;
-    EXPECT_EQ(serial.block_executions, parallel.block_executions) << name;
+  for (const std::string& name : runnable_backends()) {
+    for (const LocalSweep sweep : {LocalSweep::kJacobi,
+                                   LocalSweep::kGaussSeidel}) {
+      for (const index_t overlap : {0, 2}) {
+        KernelConfig config{o.local_iters, sweep};
+        config.overlap = overlap;
+        const auto kernel = build_kernel(
+            name, a, b, RowPartition::uniform(a.rows(), o.block_size),
+            config);
+        // Overlapping subdomains read neighbor rows at update time.
+        EXPECT_EQ(kernel->parallel_commit_safe(), overlap == 0) << name;
+        if (!kernel->parallel_commit_safe()) continue;
+        o.local_sweep = sweep;
+        o.overlap = overlap;
+        o.num_workers = 0;
+        const BlockAsyncResult serial =
+            block_async_solve_with_kernel(a, b, *kernel, o);
+        o.num_workers = 4;
+        const BlockAsyncResult parallel =
+            block_async_solve_with_kernel(a, b, *kernel, o);
+        EXPECT_EQ(serial.solve.x, parallel.solve.x) << name;  // bitwise
+        EXPECT_EQ(serial.solve.residual_history,
+                  parallel.solve.residual_history)
+            << name;
+        EXPECT_EQ(serial.block_executions, parallel.block_executions) << name;
+      }
+    }
   }
 }
 
@@ -371,8 +364,7 @@ TEST(BackendKernel, ZeroDiagonalThrowsOnEveryBackend) {
               std::vector<index_t>(good.col_idx().begin(), good.col_idx().end()),
               std::move(vals));
   const Vector b(130, 1.0);
-  for (const std::string& name : backend_names()) {
-    if (!find_backend(name).available()) continue;
+  for (const std::string& name : runnable_backends()) {
     EXPECT_THROW((void)build_kernel(name, a, b, RowPartition::uniform(130, 64),
                                     {/*local_iters=*/1}),
                  std::invalid_argument)
@@ -404,8 +396,7 @@ TEST(BackendKernel, RhsAndPerBlockItersRoundTripPerBackend) {
   const Csr a = fv_like(8, 0.5);
   const Vector b1(static_cast<std::size_t>(a.rows()), 1.0);
   const Vector b2(static_cast<std::size_t>(a.rows()), 2.0);
-  for (const std::string& name : backend_names()) {
-    if (!find_backend(name).available()) continue;
+  for (const std::string& name : runnable_backends()) {
     const auto kernel = build_kernel(
         name, a, b1, RowPartition::uniform(a.rows(), 16), {/*local_iters=*/3});
     EXPECT_EQ(&kernel->rhs(), &b1) << name;

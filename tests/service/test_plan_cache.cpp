@@ -225,7 +225,7 @@ TEST(PlanCache, BackendIsPartOfTheKey) {
 
 TEST(PlanCache, UnknownBackendIsANegativeEntry) {
   // A typo'd backend name fails the build (std::invalid_argument from
-  // the backend registry) and is cached as a negative entry, so repeat
+  // backend::build_kernel) and is cached as a negative entry, so repeat
   // offenders fail fast like any other construction failure.
   PlanCache cache(4);
   const Csr a = fv_like(6, 0.5);

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "backend/registry.hpp"
 #include "matrices/generators.hpp"
+#include "sparse/partition.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
 
@@ -295,52 +298,64 @@ TEST(SolveService, RecordsServiceMetrics) {
   EXPECT_EQ(metrics.gauge("service_plan_cache_size").value(), 1.0);
 }
 
-/// The scalar backend behind a fixed delay, so a plan build takes at
-/// least kSlowBuild and cannot hide in a timing figure.
-constexpr auto kSlowBuild = milliseconds(150);
-class SlowBuildBackend final : public backend::KernelBackend {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "slow-build-test";
+/// An fv_like grid whose kernel, built through build_kernel with the
+/// service's plan configuration, takes at least 20 ms on this host
+/// (best of three builds), so a plan build cannot hide in a timing
+/// figure. The grid side grows with the square root of the missing
+/// time (build cost is linear in the rows), by at least 5/4 a step, up
+/// to 1024. `build_seconds` gets the time of the returned grid's build.
+std::shared_ptr<const Csr> slow_build_matrix(const SolveRequest& req,
+                                             double& build_seconds) {
+  for (index_t n = 256;;) {
+    auto a = shared_fv(n, 0.5);
+    const Vector seed_rhs(static_cast<std::size_t>(a->rows()), 0.0);
+    build_seconds = 1e9;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto kernel = backend::build_kernel(
+          req.options.backend, *a, seed_rhs,
+          RowPartition::uniform(a->rows(), req.options.block_size),
+          {req.options.local_iters});
+      build_seconds = std::min(
+          build_seconds, std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+    }
+    if (build_seconds >= 0.020 || n >= 1024) return a;
+    const double grow = std::sqrt(0.025 / std::max(build_seconds, 1e-6));
+    n = std::min<index_t>(
+        1024, std::max<index_t>(n + n / 4, static_cast<index_t>(n * grow)));
   }
-  [[nodiscard]] backend::BackendCaps caps() const noexcept override {
-    return {};
-  }
-  [[nodiscard]] bool available() const noexcept override { return true; }
-  [[nodiscard]] std::unique_ptr<backend::BlockSweepKernel> make_kernel(
-      const Csr& a, const Vector& b, RowPartition partition,
-      const backend::KernelConfig& config) const override {
-    std::this_thread::sleep_for(kSlowBuild);
-    return backend::find_backend("scalar").make_kernel(
-        a, b, std::move(partition), config);
-  }
-};
+}
 
 TEST(SolveService, PlanBuildIsPlanTimeNotQueueTime) {
-  static const bool registered = [] {
-    backend::register_backend(std::make_unique<SlowBuildBackend>());
-    return true;
-  }();
-  ASSERT_TRUE(registered);
   telemetry::MetricsRegistry metrics;
   ServiceOptions so;
   so.num_workers = 1;
   so.metrics = &metrics;
   SolveService svc(so);
 
-  auto req = small_request(shared_fv(8, 0.5));
-  req.options.backend = "slow-build-test";
-  const double slow = std::chrono::duration<double>(kSlowBuild).count();
+  // One global iteration meets tol 0.9 on any fv_like(n, 0.5): the
+  // request's cost is the plan build, not the solve.
+  SolveRequest req = small_request(shared_fv(8, 0.5));
+  req.options.solve.tol = 0.9;
+  double build = 0.0;
+  req.matrix = slow_build_matrix(req, build);
+  ASSERT_GE(build, 0.020) << "no fv_like grid up to 1024x1024 builds slowly";
+  req.b.assign(static_cast<std::size_t>(req.matrix->rows()), 1.0);
+
+  // The cold request pays the build inside plan_seconds; timing jitter
+  // gets a factor of two either way.
   const SolveResponse cold = svc.solve(req);
   ASSERT_TRUE(cold.ok()) << cold.error;
   EXPECT_FALSE(cold.plan_cache_hit);
-  EXPECT_GE(cold.plan_seconds, slow);
-  EXPECT_LT(cold.queue_seconds, slow);
+  EXPECT_GE(cold.plan_seconds, build / 2);
+  EXPECT_LT(cold.queue_seconds, build / 2);
 
   const SolveResponse hot = svc.solve(req);
   ASSERT_TRUE(hot.ok()) << hot.error;
   EXPECT_TRUE(hot.plan_cache_hit);
-  EXPECT_LT(hot.plan_seconds, slow);
+  EXPECT_LT(hot.plan_seconds, build / 2);
   svc.shutdown();  // joins workers: safe to read the registry now
   EXPECT_EQ(metrics.histogram("service_plan_seconds", {}).total(), 2u);
 }

@@ -1,6 +1,6 @@
 // Seeded violations for the backend-seam rule: direct construction of
-// concrete block-sweep kernels outside src/backend bypasses the
-// registry's availability fallback and telemetry counters. Linted with
+// concrete block-sweep kernels outside src/backend bypasses
+// build_kernel's availability fallback and telemetry counters. Linted with
 // --treat-as src/core.
 #include <memory>
 

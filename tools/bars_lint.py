@@ -539,12 +539,12 @@ class BackendSeam(TokenRule):
     name = "backend-seam"
     doc = ("Concrete block-sweep kernels (BlockJacobiKernel, "
            "SimdBlockSweepKernel) are backend implementation detail: "
-           "production code must select a provider through the backend "
-           "registry (backend::build_kernel, docs/BACKENDS.md) so the "
+           "production code must build them through the kernel factory "
+           "(backend::build_kernel, docs/BACKENDS.md) so the "
            "availability/config fallback to scalar and the per-backend "
            "telemetry counters are never bypassed. Direct construction "
-           "is allowed only inside src/backend — the providers "
-           "themselves. Tests may construct kernels directly.")
+           "is allowed only inside src/backend, where the factory and "
+           "the kernels live. Tests may construct kernels directly.")
     tokens = [
         (re.compile(r"\bnew\s+(backend\s*::\s*)?"
                     r"(BlockJacobiKernel|SimdBlockSweepKernel)\b"),
