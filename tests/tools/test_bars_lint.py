@@ -103,7 +103,7 @@ class FixtureViolations(unittest.TestCase):
             f"carries its bound in view and is exempt):\n{out}")
 
     def test_backend_seam_spares_backend_dir_and_type_mentions(self):
-        # The providers themselves construct kernels, so the same file
+        # build_kernel itself constructs kernels, so the same file
         # treated as src/backend must pass; and merely *naming* the type
         # (the describe() line) is never a finding.
         code, out = run_lint("--strict", "--treat-as", "src/backend",
