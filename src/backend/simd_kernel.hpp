@@ -30,7 +30,8 @@
 /// (rhs, minus global entries, minus local entries, divide by the
 /// diagonal) — only the grouping of multiply-add into FMA changes
 /// rounding. docs/BACKENDS.md documents the resulting elementwise
-/// tolerance; bench/perf_suite enforces it on the paper matrices.
+/// tolerance; tests/backend/test_backend.cpp enforces it on the paper
+/// matrices.
 ///
 /// Restrictions (throws backend_unsupported): Jacobi local sweeps only,
 /// no overlap. Adaptive per-block sweep counts are supported.

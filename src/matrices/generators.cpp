@@ -24,11 +24,13 @@ Csr trefethen(index_t n) {
   require_positive(n, "trefethen");
   const std::vector<index_t> primes = first_primes(n);
   Coo coo(n, n);
+  // Each row in column order, so Csr::from_coo needs no sort.
   for (index_t i = 0; i < n; ++i) {
+    index_t off = 1;
+    while (off * 2 <= i) off *= 2;  // largest power of two <= i
+    for (; i > 0 && off > 0; off /= 2) coo.add(i, i - off, 1.0);
     coo.add(i, i, static_cast<value_t>(primes[i]));
-    for (index_t off = 1; off < n; off *= 2) {
-      if (i + off < n) coo.add_symmetric(i, i + off, 1.0);
-    }
+    for (off = 1; i + off < n; off *= 2) coo.add(i, i + off, 1.0);
   }
   return Csr::from_coo(coo);
 }
@@ -38,14 +40,15 @@ Csr fv_like(index_t m, value_t c) {
   const index_t n = m * m;
   Coo coo(n, n);
   coo.reserve(static_cast<std::size_t>(5 * n));
+  // Each row in column order, so Csr::from_coo needs no sort.
   for (index_t i = 0; i < m; ++i) {
     for (index_t j = 0; j < m; ++j) {
       const index_t row = grid_index(m, i, j);
-      coo.add(row, row, 4.0 + c);
-      if (i + 1 < m) coo.add(row, grid_index(m, i + 1, j), -1.0);
       if (i > 0) coo.add(row, grid_index(m, i - 1, j), -1.0);
-      if (j + 1 < m) coo.add(row, grid_index(m, i, j + 1), -1.0);
       if (j > 0) coo.add(row, grid_index(m, i, j - 1), -1.0);
+      coo.add(row, row, 4.0 + c);
+      if (j + 1 < m) coo.add(row, grid_index(m, i, j + 1), -1.0);
+      if (i + 1 < m) coo.add(row, grid_index(m, i + 1, j), -1.0);
     }
   }
   return Csr::from_coo(coo);

@@ -19,6 +19,7 @@
 #include "backend/simd_kernel.hpp"
 #include "core/block_async.hpp"
 #include "matrices/generators.hpp"
+#include "matrices/paper_suite.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/partition.hpp"
 #include "stats/rng.hpp"
@@ -265,24 +266,45 @@ TEST(BackendKernel, ScalarAndSimdAgreeWithinDocumentedTolerance) {
   // docs/BACKENDS.md: identical accumulation order, FMA contraction is
   // the only rounding difference -> elementwise relative agreement to
   // 1e-12 on the paper matrices (far tighter in practice).
-  BlockAsyncOptions o;
-  o.block_size = 64;
-  o.local_iters = 3;
-  o.solve.max_iters = 2000;
-  o.solve.tol = 1e-10;
-  for (const Csr& a : {trefethen(500), fv_like(22, 0.4)}) {
+  const auto expect_agree = [](const Csr& a, const BlockAsyncOptions& o,
+                               bool require_ok) {
     const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
     const RowPartition part = RowPartition::uniform(a.rows(), o.block_size);
     const auto ks = build_kernel("scalar", a, b, part, {o.local_iters});
     const auto kv = build_kernel("simd", a, b, part, {o.local_iters});
     const BlockAsyncResult rs = block_async_solve_with_kernel(a, b, *ks, o);
     const BlockAsyncResult rv = block_async_solve_with_kernel(a, b, *kv, o);
-    ASSERT_TRUE(rs.solve.ok());
-    ASSERT_TRUE(rv.solve.ok());
+    if (require_ok) {
+      ASSERT_TRUE(rs.solve.ok());
+      ASSERT_TRUE(rv.solve.ok());
+    }
+    ASSERT_EQ(rs.solve.x.size(), rv.solve.x.size());
     for (std::size_t i = 0; i < rs.solve.x.size(); ++i) {
       const value_t scale = std::max(std::abs(rs.solve.x[i]), value_t(1));
       EXPECT_NEAR(rs.solve.x[i], rv.solve.x[i], 1e-12 * scale) << "i=" << i;
     }
+  };
+  BlockAsyncOptions o;
+  o.block_size = 64;
+  o.local_iters = 3;
+  o.solve.max_iters = 2000;
+  o.solve.tol = 1e-10;
+  expect_agree(trefethen(500), o, true);
+  expect_agree(fv_like(22, 0.4), o, true);
+  // The paper matrices on a 100-iteration async-(5) budget at block
+  // 256. fv3 (rho = 0.9993) is far from converged after 100
+  // iterations, so the iterates are compared whatever the status.
+  o.block_size = 256;
+  o.local_iters = 5;
+  o.solve.max_iters = 100;
+  o.policy = gpusim::SchedulePolicy::kRoundRobin;
+  o.concurrent_slots = 64;
+  for (const PaperMatrix which :
+       {PaperMatrix::kChem97ZtZ, PaperMatrix::kFv3,
+        PaperMatrix::kTrefethen2000, PaperMatrix::kTrefethen20000}) {
+    const TestProblem p = make_paper_problem(which);
+    SCOPED_TRACE(p.name);
+    expect_agree(p.matrix, o, false);
   }
 }
 

@@ -95,19 +95,23 @@ void expect_identical(const ExecutorResult& a, const Vector& xa,
 }
 
 TEST(ParallelExecutor, RoundRobinBitIdenticalToSerial) {
-  Sys s(640, 8, 1);  // q = 80 blocks
-  ExecutorOptions o;
-  o.stopping.max_iters = 40;
-  o.stopping.tol = 1e-30;
-  o.policy = SchedulePolicy::kRoundRobin;
-  o.concurrent_slots = 80;  // full-width batches
-  o.record_trace = true;
-  Vector xs, xp;
-  o.num_workers = 0;
-  const auto serial = run_exec(s, o, xs);
-  o.num_workers = 4;
-  const auto parallel = run_exec(s, o, xp);
-  expect_identical(serial, xs, parallel, xp);
+  // async-(1) and async-(5), each with every block in flight at once.
+  for (const index_t local_iters : {1, 5}) {
+    SCOPED_TRACE(local_iters);
+    Sys s(640, 8, local_iters);  // q = 80 blocks
+    ExecutorOptions o;
+    o.stopping.max_iters = 40;
+    o.stopping.tol = 1e-30;
+    o.policy = SchedulePolicy::kRoundRobin;
+    o.concurrent_slots = 80;  // full-width batches
+    o.record_trace = true;
+    Vector xs, xp;
+    o.num_workers = 0;
+    const auto serial = run_exec(s, o, xs);
+    o.num_workers = 4;
+    const auto parallel = run_exec(s, o, xp);
+    expect_identical(serial, xs, parallel, xp);
+  }
 }
 
 TEST(ParallelExecutor, BitIdenticalWithPartialSlotsAndLocalSweeps) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "eigen/power_iteration.hpp"
+#include "matrices/primes.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/properties.hpp"
 
 namespace bars {
@@ -22,6 +26,51 @@ TEST(Trefethen, StructureMatchesDefinition) {
   EXPECT_DOUBLE_EQ(a.at(0, 8), 1.0);
   EXPECT_DOUBLE_EQ(a.at(0, 16), 1.0);
   EXPECT_DOUBLE_EQ(a.at(0, 3), 0.0);   // 3 is not a power of two
+}
+
+/// Both generators emit each row in column order. Building the same
+/// entries in their earlier, unsorted emission order through
+/// Csr::from_coo's sorting path must give the same arrays bit for bit.
+void expect_same_arrays(const Csr& a, const Csr& b) {
+  EXPECT_EQ(a.rows(), b.rows());
+  EXPECT_EQ(a.cols(), b.cols());
+  EXPECT_TRUE(std::ranges::equal(a.row_ptr(), b.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(a.col_idx(), b.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(a.values(), b.values()));
+}
+
+TEST(Trefethen, RowMajorEmissionMatchesSortedBuild) {
+  for (const index_t n : {1, 2, 3, 17, 64, 2000}) {
+    SCOPED_TRACE(n);
+    const std::vector<index_t> primes = first_primes(n);
+    Coo coo(n, n);
+    for (index_t i = 0; i < n; ++i) {
+      coo.add(i, i, static_cast<value_t>(primes[i]));
+      for (index_t off = 1; off < n; off *= 2) {
+        if (i + off < n) coo.add_symmetric(i, i + off, 1.0);
+      }
+    }
+    expect_same_arrays(trefethen(n), Csr::from_coo(coo));
+  }
+}
+
+TEST(FvLike, RowMajorEmissionMatchesSortedBuild) {
+  for (const index_t m : {1, 2, 5, 40}) {
+    SCOPED_TRACE(m);
+    const value_t c = 0.3;
+    Coo coo(m * m, m * m);
+    for (index_t i = 0; i < m; ++i) {
+      for (index_t j = 0; j < m; ++j) {
+        const index_t row = i * m + j;
+        coo.add(row, row, 4.0 + c);
+        if (i + 1 < m) coo.add(row, row + m, -1.0);
+        if (i > 0) coo.add(row, row - m, -1.0);
+        if (j + 1 < m) coo.add(row, row + 1, -1.0);
+        if (j > 0) coo.add(row, row - 1, -1.0);
+      }
+    }
+    expect_same_arrays(fv_like(m, c), Csr::from_coo(coo));
+  }
 }
 
 TEST(Trefethen, NnzMatchesUfmcFor2000) {

@@ -200,7 +200,7 @@ def check_links(path: str, root: str) -> list[str]:
                     continue
                 # Resolve relative to the doc, then to the repo root
                 # (prose habitually writes root-relative paths). A bare
-                # reference to a built binary (`bench/perf_suite`,
+                # reference to a built binary (`bench/backend_gate`,
                 # `examples/solve_mtx`) resolves through its source.
                 cand = [os.path.join(base, clean), os.path.join(root, clean)]
                 cand += [c + ".cpp" for c in cand]

@@ -5,7 +5,11 @@ Each revision is checked out in its own git worktree under a temporary
 directory, configured with CMake and built up to its *own*
 `identity_probe` target, so each side runs the probe grid as that
 revision defines it. Both probes run `--grid=full`; their outputs are
-compared config by config (one `<config> <hash>` line each).
+compared config by config (one `<config> <hash>` line each). Each side
+also builds and runs the figure harnesses and examples in STDOUT_RUNS,
+whose whole stdout is deterministic, and adds one
+`stdout <binary> [args] <hash>` line per binary (with ` exit <code>`
+appended when it exits non-zero).
 
 Prints every config whose line differs (or exists on one side only),
 then the count. Exit status: 0 = no difference, 1 = differences,
@@ -21,6 +25,7 @@ Example: tools/identity_ab.py HEAD~1 HEAD
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import shutil
 import subprocess
@@ -35,25 +40,45 @@ def git(repo: str, *args: str) -> str:
 
 JOBS = min(4, os.cpu_count() or 1)
 
+# (build subdirectory, binary, arguments) of every binary whose stdout
+# holds no wall-clock value, so two runs of one revision print the same.
+STDOUT_RUNS = [
+    ("bench", "fig5_stochastic_variation", "--runs=5"),
+    ("bench", "fig10_fault_tolerance"),
+    ("bench", "fig11_multigpu"),
+    ("examples", "quickstart"),
+    ("examples", "poisson2d", "31"),
+    ("examples", "fault_tolerant_solve"),
+    ("examples", "multigpu_scaling", "2000"),
+    ("examples", "trace_occupancy"),
+    ("examples", "nonlinear_diffusion", "24", "0.5"),
+    ("examples", "matrix_info"),
+    ("examples", "heat_implicit", "24", "8"),
+    ("examples", "silent_error_detection"),
+]
 
-def build_probe(repo: str, sha: str, workdir: str) -> str:
-    """Check out `sha` as a worktree in `workdir` and build its probe."""
+
+def build_revision(repo: str, sha: str, workdir: str) -> str:
+    """Check out `sha` as a worktree in `workdir`, build its probe and
+    the STDOUT_RUNS binaries, and return the build directory."""
     src = os.path.join(workdir, sha[:12])
     git(repo, "worktree", "add", "--detach", src, sha)
     build = os.path.join(src, "build")
+    targets = ["identity_probe"] + [run[1] for run in STDOUT_RUNS]
     for cmd in (["cmake", "-S", src, "-B", build,
                  "-DCMAKE_BUILD_TYPE=Release"],
-                ["cmake", "--build", build, "--target", "identity_probe",
-                 "-j", str(JOBS)]):
+                ["cmake", "--build", build, "-j", str(JOBS),
+                 "--target", *targets]):
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout[-4000:] + proc.stderr[-4000:])
             raise RuntimeError(f"{sha[:12]}: {' '.join(cmd[:2])} failed")
-    return os.path.join(build, "bench", "identity_probe")
+    return build
 
 
-def run_probe(probe: str) -> dict[str, str]:
-    """Run the full grid and map each config to its whole output line."""
+def run_revision(build: str) -> dict[str, str]:
+    """Map each probe config and each STDOUT_RUNS binary to its line."""
+    probe = os.path.join(build, "bench", "identity_probe")
     out = subprocess.run([probe, "--grid=full"], check=True,
                          capture_output=True, text=True).stdout
     lines: dict[str, str] = {}
@@ -63,6 +88,14 @@ def run_probe(probe: str) -> dict[str, str]:
         config = (line.split(" threw ", 1)[0] if " threw " in line
                   else line.rsplit(" ", 1)[0])
         lines[config] = line
+    for subdir, binary, *argv in STDOUT_RUNS:
+        # Run inside the build directory: some binaries write files.
+        proc = subprocess.run([os.path.join(build, subdir, binary), *argv],
+                              cwd=build, capture_output=True)
+        config = " ".join(["stdout", binary, *argv])
+        digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
+        exit_note = f" exit {proc.returncode}" if proc.returncode else ""
+        lines[config] = f"{config} {digest}{exit_note}"
     return lines
 
 
@@ -83,16 +116,15 @@ def main() -> int:
 
     workdir = tempfile.mkdtemp(prefix="identity_ab_")
     try:
-        probes: dict[str, str] = {}
+        builds: dict[str, str] = {}
         for sha in shas:
-            if sha not in probes:
-                print(f"building identity_probe at {sha[:12]} ...",
-                      file=sys.stderr)
-                probes[sha] = build_probe(repo, sha, workdir)
-        # Same revision on both sides still runs the probe twice: the
+            if sha not in builds:
+                print(f"building {sha[:12]} ...", file=sys.stderr)
+                builds[sha] = build_revision(repo, sha, workdir)
+        # Same revision on both sides still runs everything twice: the
         # comparison then checks run-to-run determinism.
-        a = run_probe(probes[shas[0]])
-        b = run_probe(probes[shas[1]])
+        a = run_revision(builds[shas[0]])
+        b = run_revision(builds[shas[1]])
     except (RuntimeError, subprocess.CalledProcessError) as e:
         sys.stderr.write(f"identity_ab: {e}\n")
         return 2
